@@ -29,18 +29,20 @@ std::vector<uint64_t> SkylineSeqs(const std::vector<SkylineMember>& members) {
 }  // namespace
 
 AuditManager::AuditManager(SskyOperator* op, AuditOptions options,
-                           WindowSnapshotFn window)
+                           WindowView window)
     : op_(op),
       options_(options),
       window_(std::move(window)),
       q_log_(std::log(op->threshold())) {}
 
 AuditManager::AuditManager(SskyOperator* op, AuditOptions options,
-                           WindowStream window)
-    : op_(op),
-      options_(options),
-      stream_(std::move(window)),
-      q_log_(std::log(op->threshold())) {}
+                           WindowSnapshotFn window)
+    : AuditManager(op, options, IndexedView(&snapshot_)) {
+  window_.size = [this, snapshot = std::move(window)] {
+    snapshot_ = snapshot();
+    return static_cast<uint64_t>(snapshot_.size());
+  };
+}
 
 AuditManager::~AuditManager() {
   // Wait for the worker so it is not left running against freed inputs;
@@ -48,43 +50,49 @@ AuditManager::~AuditManager() {
   if (pending_oracle_.has_value()) pending_oracle_->want.wait();
 }
 
-bool AuditManager::AuditOne(const std::vector<UncertainElement>& window,
-                            size_t idx) {
-  const UncertainElement& e = window[idx];
+void AuditManager::AuditRange(uint64_t first, uint64_t count, uint64_t n) {
   // Exact P_new from first principles: every dominator that arrived after
-  // `e` is still in the window (windows expire oldest-first), so the sum
-  // over newer window dominators *is* the true accumulated P_new — no lazy
-  // state consulted.
-  double exact_pnew = 0.0;
-  for (size_t j = idx + 1; j < window.size(); ++j) {
-    if (Dominates(window[j].pos, e.pos)) {
-      exact_pnew += LogOneMinusProb(ClampProb(window[j].prob));
-    }
+  // a target is still in the window (windows expire oldest-first), so the
+  // sum over newer window dominators *is* the true accumulated P_new — no
+  // lazy state consulted. An evicted target settles once its running sum
+  // is below the threshold (see file comment); a live one needs it all.
+  struct Target {
+    uint64_t idx;
+    UncertainElement e;
+    bool live;
+    double exact_pnew;
+  };
+  const double settle_below = q_log_ + options_.tolerance;
+  std::vector<Target> targets;
+  targets.reserve(count);
+  uint64_t start = UINT64_MAX;
+  size_t open = 0;
+  for (uint64_t k = 0; k < count; ++k) {
+    const uint64_t idx = (first + k) % n;
+    const UncertainElement e = window_.at(idx);
+    const bool live = op_->tree().LookupForAudit(e.pos, e.seq).found;
+    targets.push_back(Target{idx, e, live, 0.0});
+    if (live || 0.0 >= settle_below) ++open;
+    start = std::min(start, idx + 1);
   }
-  return AuditOneExact(e, exact_pnew);
-}
-
-void AuditManager::AuditBatchStreamed(
-    const std::vector<std::pair<uint64_t, UncertainElement>>& targets) {
-  if (targets.empty()) return;
-  // One oldest→newest scan accumulates every target's window-exact P_new
-  // (elements newer than the target that dominate it), so a slice of k
-  // elements costs one pass over the window, not k.
-  std::vector<double> exact_pnew(targets.size(), 0.0);
-  uint64_t j = 0;
-  stream_.scan([&](const UncertainElement& w) {
-    for (size_t t = 0; t < targets.size(); ++t) {
-      if (j > targets[t].first && Dominates(w.pos, targets[t].second.pos)) {
-        exact_pnew[t] += LogOneMinusProb(ClampProb(w.prob));
+  if (open > 0) {
+    uint64_t j = start;
+    window_.scan_from(start, [&](const UncertainElement& w) {
+      ++scanned_;
+      for (Target& t : targets) {
+        const bool is_open = t.live || t.exact_pnew >= settle_below;
+        if (is_open && j > t.idx && Dominates(w.pos, t.e.pos)) {
+          t.exact_pnew += LogOneMinusProb(ClampProb(w.prob));
+          if (!t.live && t.exact_pnew < settle_below) --open;
+        }
       }
-    }
-    ++j;
-  });
+      ++j;
+      return open > 0;
+    });
+  }
   // P_new is a function of raw window contents only, so repairs applied
   // while draining the batch cannot invalidate the accumulated sums.
-  for (size_t t = 0; t < targets.size(); ++t) {
-    AuditOneExact(targets[t].second, exact_pnew[t]);
-  }
+  for (const Target& t : targets) AuditOneExact(t.e, t.exact_pnew);
 }
 
 bool AuditManager::AuditOneExact(const UncertainElement& e,
@@ -138,63 +146,35 @@ bool AuditManager::AuditOneExact(const UncertainElement& e,
 }
 
 void AuditManager::RunSliceAudit() {
-  if (streamed()) {
-    const uint64_t n = stream_.size();
-    if (n == 0) return;
-    std::vector<std::pair<uint64_t, UncertainElement>> targets;
-    targets.reserve(static_cast<size_t>(options_.elements_per_audit));
-    for (int k = 0; k < options_.elements_per_audit; ++k) {
-      const uint64_t idx = cursor_ % n;
-      targets.emplace_back(idx, stream_.at(idx));
-      ++cursor_;
-    }
-    AuditBatchStreamed(targets);
-    return;
-  }
-  const std::vector<UncertainElement> window = window_();
-  if (window.empty()) return;
-  for (int k = 0; k < options_.elements_per_audit; ++k) {
-    AuditOne(window, static_cast<size_t>(cursor_ % window.size()));
-    ++cursor_;
-  }
+  const uint64_t n = window_.size();
+  if (n == 0) return;
+  const auto k = static_cast<uint64_t>(options_.elements_per_audit);
+  AuditRange(cursor_, k, n);
+  cursor_ += k;
 }
 
 uint64_t AuditManager::AuditAll() {
   const uint64_t before = report_.violations_unrepaired;
-  if (streamed()) {
-    // Batched full sweep: bounded target memory per scan regardless of
-    // window size.
-    constexpr uint64_t kBatch = 256;
-    const uint64_t n = stream_.size();
-    std::vector<std::pair<uint64_t, UncertainElement>> targets;
-    for (uint64_t start = 0; start < n; start += kBatch) {
-      const uint64_t stop = std::min(start + kBatch, n);
-      targets.clear();
-      for (uint64_t idx = start; idx < stop; ++idx) {
-        targets.emplace_back(idx, stream_.at(idx));
-      }
-      AuditBatchStreamed(targets);
-    }
-    return report_.violations_unrepaired - before;
+  // Batched full sweep: bounded target memory per scan regardless of
+  // window size.
+  constexpr uint64_t kBatch = 256;
+  const uint64_t n = window_.size();
+  for (uint64_t start = 0; start < n; start += kBatch) {
+    AuditRange(start, std::min(kBatch, n - start), n);
   }
-  const std::vector<UncertainElement> window = window_();
-  for (size_t idx = 0; idx < window.size(); ++idx) AuditOne(window, idx);
   return report_.violations_unrepaired - before;
 }
 
 bool AuditManager::RunOracleCheck() {
   ++report_.oracle_replays;
-  auto replay = [&]() {
-    NaiveSkylineOperator oracle(op_->dims(), op_->threshold());
-    if (streamed()) {
-      stream_.scan(
-          [&](const UncertainElement& e) { oracle.Insert(e); });
-    } else {
-      for (const UncertainElement& e : window_()) oracle.Insert(e);
-    }
-    return SkylineSeqs(oracle.Skyline());
-  };
-  const std::vector<uint64_t> want = replay();
+  NaiveSkylineOperator oracle(op_->dims(), op_->threshold());
+  if (window_.size() > 0) {
+    window_.scan_from(0, [&oracle](const UncertainElement& e) {
+      oracle.Insert(e);
+      return true;
+    });
+  }
+  const std::vector<uint64_t> want = SkylineSeqs(oracle.Skyline());
   if (SkylineSeqs(op_->Skyline()) == want) return true;
 
   // Escalate: a q-skyline disagreement means some candidate's band is
@@ -217,8 +197,14 @@ void AuditManager::LaunchOracleAsync() {
   // state — never the live tree — so it is safe on a worker thread.
   const int dims = op_->dims();
   const double q = op_->threshold();
+  std::vector<UncertainElement> window;
+  window.reserve(window_.size());
+  window_.scan_from(0, [&window](const UncertainElement& e) {
+    window.push_back(e);
+    return true;
+  });
   pending.want = options_.pool->Async(
-      [dims, q, window = window_()]() {
+      [dims, q, window = std::move(window)]() {
         NaiveSkylineOperator oracle(dims, q);
         for (const UncertainElement& e : window) oracle.Insert(e);
         return SkylineSeqs(oracle.Skyline());
@@ -253,9 +239,7 @@ bool AuditManager::Step() {
   }
   if (!suspend_oracle_ && options_.oracle_every > 0 &&
       report_.steps_seen % options_.oracle_every == 0) {
-    // Streamed windows replay synchronously: the scan faults segments in
-    // and out of the live store, which a worker thread cannot share.
-    if (options_.pool != nullptr && !streamed()) {
+    if (options_.pool != nullptr) {
       HarvestOracle();
       LaunchOracleAsync();
     } else {

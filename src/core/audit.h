@@ -8,12 +8,13 @@
 // whose P_sky sits near a threshold can silently flip bands. This module
 // keeps a long-running operator provably honest:
 //
-//  1. An *incremental amortized auditor*: every `audit_every` steps it
+//  1. An *incremental slice auditor*: every `audit_every` steps it
 //     re-derives exact P_new/P_old for a rotating slice of window
 //     elements — from raw element probabilities only, never from lazy
 //     state — and compares against the operator's materialized values
-//     within a drift tolerance. Sweep cost is O(1) amortized per stream
-//     step for a fixed window size and cadence.
+//     within a drift tolerance. One scan serves the whole slice; it ends
+//     at an evicted target's evicting dominator, while a live candidate
+//     sums its whole newer tail.
 //  2. *Self-healing repair*: in kRepair mode, drift beyond tolerance (or a
 //     band misclassification) renormalizes the affected leaf path in
 //     place (SkyTree::RepairElement) and recounts. Counters record the
@@ -40,7 +41,9 @@
 // against P_old (sky_tree.cc Phase C, paper Lemma 2). For an element
 // *evicted* from S the auditor checks eviction soundness instead: its
 // exact P_new must sit below the retention threshold, and stays there
-// because newer dominators only shrink it.
+// because newer dominators only shrink it: every term is log1p(-p) <= 0,
+// and adding one never raises a rounded sum, so the first partial sum
+// below the threshold already gives the full scan's verdict.
 
 #ifndef PSKY_CORE_AUDIT_H_
 #define PSKY_CORE_AUDIT_H_
@@ -82,8 +85,8 @@ struct AuditOptions {
   /// replay costs O(window^2); sample accordingly.
   uint64_t oracle_every = 0;
   /// When set, shadow-oracle replays run asynchronously on this pool: the
-  /// window and the operator's reported skyline are snapshotted on the
-  /// main thread, the O(window^2) naive replay happens on a worker, and
+  /// window and the operator's reported skyline are copied on the main
+  /// thread, the O(window^2) naive replay happens on a worker, and
   /// the verdict is harvested at the next oracle step (or Drain()). A
   /// stale disagreement is re-confirmed synchronously against the live
   /// operator before it counts as a violation. The pool must outlive the
@@ -117,37 +120,45 @@ struct AuditReport {
   uint64_t violations_unrepaired = 0;
 };
 
-/// Drives the audit schedule against one SskyOperator.
-///
-/// The window callback returns the current window contents oldest-first
-/// (e.g. CountWindow::Snapshot); it is only invoked on steps where an
-/// audit or oracle check actually fires.
+/// Drives the audit schedule against one SskyOperator. The window is read
+/// in place through a WindowView, only on steps where an audit or oracle
+/// check actually fires.
 class AuditManager {
  public:
-  using WindowSnapshotFn = std::function<std::vector<UncertainElement>()>;
+  /// Visits one window element; returning false stops the scan.
+  using Visitor = std::function<bool(const UncertainElement&)>;
 
-  /// Streaming window access for out-of-core windows (SegmentStore):
-  /// the window is visited in place, one segment mapped at a time,
-  /// instead of snapshotted into an O(N) vector. Slice audits batch
-  /// their targets so one oldest→newest scan serves the whole slice.
-  struct WindowStream {
-    /// Current window size.
+  /// Zero-copy access to the live window, index 0 = oldest. Every audit
+  /// pass calls size() before at() or scan_from().
+  struct WindowView {
     std::function<uint64_t()> size;
-    /// Element `i` from the oldest (segment-cached random access).
+    /// Element `i` from the oldest; requires i < size().
     std::function<UncertainElement(uint64_t)> at;
-    /// Visits every element oldest-first.
-    std::function<void(const std::function<void(const UncertainElement&)>&)>
-        scan;
+    /// Visits elements `start`, `start + 1`, ... oldest-first until the
+    /// window ends or `visit` returns false.
+    std::function<void(uint64_t start, const Visitor& visit)> scan_from;
   };
 
+  /// View over any window with size() and an O(1) at(i) returning the
+  /// i-th oldest element (CountWindow, TimeWindow, std::deque).
+  template <typename Window>
+  static WindowView IndexedView(const Window* w) {
+    return {[w] { return static_cast<uint64_t>(w->size()); },
+            [w](uint64_t i) { return w->at(static_cast<size_t>(i)); },
+            [w](uint64_t start, const Visitor& visit) {
+              for (size_t i = static_cast<size_t>(start);
+                   i < w->size() && visit(w->at(i)); ++i) {
+              }
+            }};
+  }
+
+  AuditManager(SskyOperator* op, AuditOptions options, WindowView window);
+
+  /// Adapter for callers that can only copy the window out: size() takes
+  /// a fresh snapshot, and the rest of the pass reads that copy.
+  using WindowSnapshotFn = std::function<std::vector<UncertainElement>()>;
   AuditManager(SskyOperator* op, AuditOptions options,
                WindowSnapshotFn window);
-
-  /// Streaming variant. Shadow-oracle replays always run synchronously
-  /// on the pipeline thread in this mode (the scan faults segments in
-  /// and out of the live store, which is not thread-safe), so
-  /// `options.pool` is ignored.
-  AuditManager(SskyOperator* op, AuditOptions options, WindowStream window);
 
   /// Blocks on any in-flight asynchronous oracle replay (without counting
   /// its verdict — a destroyed auditor reports what it has harvested).
@@ -193,6 +204,10 @@ class AuditManager {
   const AuditReport& report() const { return report_; }
   const AuditOptions& options() const { return options_; }
 
+  /// Window elements visited by audit scans so far (oracle replays not
+  /// included) — the auditor's cost in the paper's unit of work.
+  uint64_t window_elements_scanned() const { return scanned_; }
+
  private:
   // An asynchronous oracle replay in flight: the skyline the operator
   // reported at snapshot time, plus the future delivering what the naive
@@ -209,19 +224,15 @@ class AuditManager {
     std::future<std::vector<uint64_t>> want;
   };
 
-  bool streamed() const { return static_cast<bool>(stream_.size); }
-  // Audits window[idx]; window is oldest-first. Returns false on an
-  // unrepaired violation.
-  bool AuditOne(const std::vector<UncertainElement>& window, size_t idx);
-  // Shared exact-state check given `e`'s window-exact P_new; all the
-  // tree lookups, drift accounting, and repairs live here.
+  // Audits the `count` window elements from index `first` on (mod window
+  // size `n`) with one scan that accumulates every target's exact P_new.
+  void AuditRange(uint64_t first, uint64_t count, uint64_t n);
+  // Exact-state check given `e`'s window-exact P_new (for an evicted
+  // element, possibly a partial sum already below the threshold). Returns
+  // false on an unrepaired violation.
   bool AuditOneExact(const UncertainElement& e, double exact_pnew);
-  // Streamed-mode audit of `targets` ({window index, element} pairs):
-  // one oldest→newest scan accumulates every target's exact P_new.
-  void AuditBatchStreamed(
-      const std::vector<std::pair<uint64_t, UncertainElement>>& targets);
   void RunSliceAudit();
-  // Snapshots window + reported skyline and queues the replay on pool.
+  // Copies window + reported skyline and queues the replay on pool.
   void LaunchOracleAsync();
   // Joins pending_oracle_ (if any) and applies its verdict. A stale
   // mismatch escalates to a synchronous RunOracleCheck against live
@@ -230,10 +241,11 @@ class AuditManager {
 
   SskyOperator* op_;
   AuditOptions options_;
-  WindowSnapshotFn window_;  ///< snapshot access; empty in streamed mode
-  WindowStream stream_;      ///< streaming access; empty in snapshot mode
+  WindowView window_;
+  std::vector<UncertainElement> snapshot_;  ///< WindowSnapshotFn's copy
   AuditReport report_;
   uint64_t cursor_ = 0;  // rotating position into the window
+  uint64_t scanned_ = 0;
   double q_log_;
   std::optional<PendingOracle> pending_oracle_;
   // Degradation state (SetDegradation); defaults are "no degradation".

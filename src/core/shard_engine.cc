@@ -58,10 +58,8 @@ ShardEngine::ShardEngine(const Options& options)
     Shard* shard = shards_.back().get();
     if (options_.audit.mode != AuditMode::kOff) {
       shard->audit = std::make_unique<AuditManager>(
-          &shard->op, options_.audit, [shard]() {
-            return std::vector<UncertainElement>(shard->fifo.begin(),
-                                                 shard->fifo.end());
-          });
+          &shard->op, options_.audit,
+          AuditManager::IndexedView(&shard->fifo));
     }
     shard->worker = std::thread([this, shard] { WorkerLoop(shard); });
   }

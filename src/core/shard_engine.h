@@ -127,9 +127,11 @@ class ShardEngine {
     uint32_t grid_resolution = 0;
     SkyTree::Options tree_options;
     /// Per-shard integrity auditing (core/audit.h), run inside the shard
-    /// worker against the shard's own substream. `pool` must be null —
-    /// oracle replays run synchronously on the worker.
-    AuditOptions audit;
+    /// worker against the shard's own substream, reading the shard's
+    /// window in place. Off by default, like the CLI's --audit-mode.
+    /// `pool` must be null — oracle replays run synchronously on the
+    /// worker.
+    AuditOptions audit = {.mode = AuditMode::kOff};
   };
 
   explicit ShardEngine(const Options& options);

@@ -4,6 +4,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -336,8 +337,9 @@ std::vector<UncertainElement> SegmentStore::Snapshot() const {
   return out;
 }
 
-SegmentStore::Cursor SegmentStore::NewCursor() const {
-  return Cursor(this, total_popped_, total_popped_ + size_);
+SegmentStore::Cursor SegmentStore::NewCursor(uint64_t from) const {
+  const uint64_t end = total_popped_ + size_;
+  return Cursor(this, std::min(total_popped_ + from, end), end);
 }
 
 void SegmentStore::SetResidentBudget(size_t budget) {

@@ -132,8 +132,9 @@ class SegmentStore {
   /// giant windows; this remains for small snapshots and tests.
   std::vector<UncertainElement> Snapshot() const;
 
-  /// Streaming oldest→newest view of the current contents.
-  Cursor NewCursor() const;
+  /// Streaming oldest→newest view of the current contents, starting at
+  /// the `from`-th oldest element.
+  Cursor NewCursor(uint64_t from = 0) const;
 
   /// Re-bounds the number of concurrently mapped segments (0 =
   /// unlimited; floored at kMinResidentBudget) and immediately evicts
@@ -215,8 +216,11 @@ class StoredCountWindow {
   /// Window contents, oldest first. O(size) memory — prefer NewCursor().
   std::vector<UncertainElement> Snapshot() const { return store_.Snapshot(); }
 
-  /// Streaming oldest→newest view (see SegmentStore::Cursor).
-  SegmentStore::Cursor NewCursor() const { return store_.NewCursor(); }
+  /// Streaming oldest→newest view from the `from`-th oldest element (see
+  /// SegmentStore::Cursor).
+  SegmentStore::Cursor NewCursor(uint64_t from = 0) const {
+    return store_.NewCursor(from);
+  }
 
   void SetResidentBudget(size_t budget) { store_.SetResidentBudget(budget); }
   size_t resident_budget() const { return store_.resident_budget(); }

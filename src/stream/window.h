@@ -37,6 +37,8 @@ class CountWindow {
 
   const UncertainElement& oldest() const { return buffer_.front(); }
   const UncertainElement& newest() const { return buffer_.back(); }
+  /// The i-th element from the oldest, O(1); requires i < size().
+  const UncertainElement& at(size_t i) const { return buffer_[i]; }
 
   /// Window contents, oldest first (for oracles / debugging).
   std::vector<UncertainElement> Snapshot() const;
@@ -79,6 +81,8 @@ class TimeWindow {
   TimestampPolicy policy() const { return policy_; }
   /// Largest timestamp accepted so far (-infinity before the first push).
   double watermark() const { return watermark_; }
+  /// The i-th element from the oldest, O(1); requires i < size().
+  const UncertainElement& at(size_t i) const { return buffer_[i]; }
   /// Elements dropped by TimestampPolicy::kReject.
   uint64_t rejected() const { return rejected_; }
   /// Timestamps rewritten by TimestampPolicy::kClampToWatermark.

@@ -4,6 +4,7 @@
 // metamorphic soaks live in audit_soak_test.cc (ctest label "soak").
 
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -29,6 +30,8 @@ namespace fs = std::filesystem;
 constexpr int kDims = 3;
 constexpr double kQ = 0.3;
 constexpr size_t kWindow = 300;
+// Mean elements one slice audit scans in AuditCostTest.
+constexpr double kMeasuredMeanScanned = 1130.6;
 
 StreamConfig ConfigFor(SpatialDistribution dist, uint64_t seed = 0xA0D17u) {
   StreamConfig cfg;
@@ -339,16 +342,17 @@ struct StreamedPipeline {
     return o;
   }
 
-  static AuditManager::WindowStream MakeStream(StoredCountWindow* w) {
-    AuditManager::WindowStream ws;
-    ws.size = [w]() { return static_cast<uint64_t>(w->size()); };
-    ws.at = [w](uint64_t i) { return w->At(static_cast<size_t>(i)); };
-    ws.scan = [w](const std::function<void(const UncertainElement&)>& fn) {
-      SegmentStore::Cursor cur = w->NewCursor();
+  static AuditManager::WindowView MakeStream(StoredCountWindow* w) {
+    AuditManager::WindowView view;
+    view.size = [w]() { return static_cast<uint64_t>(w->size()); };
+    view.at = [w](uint64_t i) { return w->At(static_cast<size_t>(i)); };
+    view.scan_from = [w](uint64_t start, const AuditManager::Visitor& visit) {
+      SegmentStore::Cursor cur = w->NewCursor(start);
       UncertainElement e;
-      while (cur.Next(&e)) fn(e);
+      while (cur.Next(&e) && visit(e)) {
+      }
     };
-    return ws;
+    return view;
   }
 
   void Run(size_t steps) {
@@ -409,6 +413,103 @@ TEST(AuditStreamedTest, RepairsInjectedDriftThroughTheCursor) {
       p.op.tree().LookupForAudit(victim.element.pos, victim.element.seq);
   ASSERT_TRUE(healed.found);
   EXPECT_NEAR(healed.pnew_log, view.pnew_log, 1e-9);
+}
+
+// --- eviction soundness through every window adapter --------------------
+
+// The operator sees an unrelated element Z, an older strong dominator O of
+// A, then A, two weak
+// newer dominators W1/W2 (P_new(A) = 0.81, still retained), then a strong
+// dominator D that evicts A (P_new = 0.081 < q). The auditor's window
+// withholds D, so A's exact P_new over what it can see stays at 0.81 >= q:
+// the eviction looks unsound. An auditor that settles an evicted target
+// before its running sum of *newer* dominators drops below the threshold,
+// or lets O into that sum (the batch scan starts at Z + 1 = O), would miss
+// it.
+struct WithheldDominator {
+  WithheldDominator() : op(2, kQ) {
+    for (const UncertainElement& e : {z, o, a, w1, w2, d}) op.Insert(e);
+    EXPECT_FALSE(op.tree().LookupForAudit(a.pos, a.seq).found);
+  }
+
+  std::vector<UncertainElement> Visible() const { return {z, o, a, w1, w2}; }
+
+  static void ExpectOneFalseEviction(AuditManager* audit) {
+    EXPECT_EQ(audit->AuditAll(), 1u);
+    EXPECT_EQ(audit->report().false_evictions, 1u);
+    EXPECT_EQ(audit->report().violations_unrepaired, 1u);
+    EXPECT_EQ(audit->report().elements_audited, 5u);
+  }
+
+  const UncertainElement z = MakeElement({0.05, 0.9}, 0.5, 0);
+  const UncertainElement o = MakeElement({0.2, 0.2}, 0.9, 1);
+  const UncertainElement a = MakeElement({0.5, 0.5}, 0.9, 2);
+  const UncertainElement w1 = MakeElement({0.3, 0.45}, 0.1, 3);
+  const UncertainElement w2 = MakeElement({0.35, 0.4}, 0.1, 4);
+  const UncertainElement d = MakeElement({0.4, 0.05}, 0.9, 5);
+  SskyOperator op;
+};
+
+TEST(AuditEvictionTest, SnapshotAdapterFlagsWithheldDominator) {
+  WithheldDominator s;
+  AuditManager audit(&s.op, Options(AuditMode::kCheck),
+                     [&s]() { return s.Visible(); });
+  WithheldDominator::ExpectOneFalseEviction(&audit);
+}
+
+TEST(AuditEvictionTest, MemoryWindowViewFlagsWithheldDominator) {
+  WithheldDominator s;
+  CountWindow window(8);
+  for (const UncertainElement& e : s.Visible()) window.Push(e);
+  AuditManager audit(&s.op, Options(AuditMode::kCheck),
+                     AuditManager::IndexedView(&window));
+  WithheldDominator::ExpectOneFalseEviction(&audit);
+}
+
+TEST(AuditEvictionTest, DiskCursorFlagsWithheldDominator) {
+  WithheldDominator s;
+  SegmentStore::Options store = StreamedPipeline::StoreOptions("withheld");
+  store.dims = 2;
+  store.elements_per_segment = 2;  // the scan crosses a segment boundary
+  StoredCountWindow window(8, store);
+  std::string error;
+  ASSERT_TRUE(window.Init(&error)) << error;
+  for (const UncertainElement& e : s.Visible()) window.Push(e);
+  AuditManager audit(&s.op, Options(AuditMode::kCheck),
+                     StreamedPipeline::MakeStream(&window));
+  WithheldDominator::ExpectOneFalseEviction(&audit);
+}
+
+// --- audit cost ------------------------------------------------------------
+
+// Deterministic cost guard: the elements a slice audit scans, averaged over
+// a stream that fills and then slides a 20k window. An evicted target stops
+// at its evicting dominator, so the mean sits far below the window; a
+// regression to whole-window scans shows up as a multiple of it.
+TEST(AuditCostTest, SliceScansStopAtTheEvictingDominator) {
+  constexpr size_t kW = 20000;
+  StreamGenerator gen(ConfigFor(SpatialDistribution::kIndependent));
+  SskyOperator op(kDims, kQ);
+  CountWindow window(kW);
+  AuditOptions options;
+  options.mode = AuditMode::kCheck;
+  options.audit_every = 64;
+  AuditManager audit(&op, options, AuditManager::IndexedView(&window));
+  for (size_t i = 0; i < 2 * kW; ++i) {
+    const UncertainElement e = gen.Next();
+    if (auto expired = window.Push(e)) op.Expire(*expired);
+    op.Insert(e);
+    ASSERT_TRUE(audit.Step());
+  }
+  const double slices =
+      static_cast<double>(audit.report().elements_audited) /
+      options.elements_per_audit;
+  ASSERT_GT(slices, 0.0);
+  const double mean_scanned =
+      static_cast<double>(audit.window_elements_scanned()) / slices;
+  std::printf("mean elements scanned per slice: %.1f\n", mean_scanned);
+  EXPECT_LT(mean_scanned, 2 * kMeasuredMeanScanned);
+  EXPECT_LT(mean_scanned, kW / 4.0);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // TakeSkylineDelta() / TakeBandChanges() must reproduce the full result
 // at every stream step.
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -85,6 +87,47 @@ TEST(Events, ReconstructsSkylineOnRandomStream) {
         return s;
       }()) << "at seq " << e.seq;
     }
+  }
+}
+
+// A resumed run replays its recovery tail with no consumer draining the
+// events, so the first delta after it composes a bulk backlog. That delta,
+// and every per-step delta after it, must equal the set difference of
+// consecutive Skyline() results.
+TEST(Events, PerStepDeltasStayExactAfterABulkReplay) {
+  SkyTree::Options opt;
+  opt.record_events = true;
+  StreamConfig cfg;
+  cfg.dims = 3;
+  cfg.spatial = SpatialDistribution::kIndependent;
+  cfg.seed = 77;
+  StreamGenerator gen(cfg);
+  SskyOperator op(3, 0.3, opt);
+  StreamProcessor proc(&op, 2000);
+  auto skyline_seqs = [&op] {
+    std::vector<uint64_t> seqs;
+    for (const auto& m : op.Skyline()) seqs.push_back(m.element.seq);
+    return seqs;
+  };
+  auto minus = [](const std::vector<uint64_t>& a,
+                  const std::vector<uint64_t>& b) {
+    std::vector<uint64_t> out;
+    std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(out));
+    return out;
+  };
+  for (const UncertainElement& e : gen.Take(20000)) proc.Step(e);
+  std::vector<uint64_t> prev = skyline_seqs();
+  const auto bulk = op.TakeSkylineDelta();
+  EXPECT_EQ(bulk.entered, prev);
+  EXPECT_TRUE(bulk.left.empty());
+  for (const UncertainElement& e : gen.Take(3000)) {
+    proc.Step(e);
+    const std::vector<uint64_t> cur = skyline_seqs();
+    const auto delta = op.TakeSkylineDelta();
+    ASSERT_EQ(delta.entered, minus(cur, prev)) << "at seq " << e.seq;
+    ASSERT_EQ(delta.left, minus(prev, cur)) << "at seq " << e.seq;
+    prev = cur;
   }
 }
 

@@ -436,6 +436,9 @@ TEST(ThreadPoolStatusTest, ReportsQueuedAndRunningAges) {
   release.store(true);
   running.get();
   queued.get();
+  // A future is ready before its worker books the job as finished; Wait()
+  // is the pool's own "all jobs finished" edge.
+  pool.Wait();
   const ThreadPool::Status idle = pool.GetStatus();
   EXPECT_EQ(idle.active, 0);
   EXPECT_EQ(idle.queued, 0u);

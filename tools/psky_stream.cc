@@ -1381,25 +1381,36 @@ int main(int argc, char** argv) {
       engine != nullptr ? psky::AuditMode::kOff : args.audit_mode;
   audit_options.audit_every = args.audit_every;
   audit_options.oracle_every = args.audit_oracle_every;
-  audit_options.pool = pool.get();
+  // Disk windows replay the oracle synchronously, streaming from a
+  // cursor: an async replay needs a copy of the whole window in RAM.
+  audit_options.pool = disk_window != nullptr ? nullptr : pool.get();
+  // The auditor reads the live window in place, whatever holds it.
   auto make_audit = [&]() -> psky::AuditManager {
     if (disk_window != nullptr) {
-      // Streaming window access: slice audits and oracle replays visit
-      // the segment store one mapped segment at a time instead of
-      // snapshotting an O(N) vector (oracle replays run synchronously in
-      // this mode; see AuditManager's streaming constructor).
       psky::StoredCountWindow* dw = disk_window.get();
-      psky::AuditManager::WindowStream ws;
-      ws.size = [dw]() { return static_cast<uint64_t>(dw->size()); };
-      ws.at = [dw](uint64_t i) { return dw->At(static_cast<size_t>(i)); };
-      ws.scan = [dw](const std::function<void(const psky::UncertainElement&)>&
-                         visit) {
-        psky::SegmentStore::Cursor cur = dw->NewCursor();
+      psky::AuditManager::WindowView view;
+      view.size = [dw]() { return static_cast<uint64_t>(dw->size()); };
+      view.at = [dw](uint64_t i) { return dw->At(static_cast<size_t>(i)); };
+      view.scan_from = [dw](uint64_t start,
+                            const psky::AuditManager::Visitor& visit) {
+        psky::SegmentStore::Cursor cur = dw->NewCursor(start);
         psky::UncertainElement e;
-        while (cur.Next(&e)) visit(e);
+        while (cur.Next(&e) && visit(e)) {
+        }
       };
-      return psky::AuditManager(&op, audit_options, std::move(ws));
+      return psky::AuditManager(&op, audit_options, std::move(view));
     }
+    if (time_window != nullptr) {
+      return psky::AuditManager(
+          &op, audit_options,
+          psky::AuditManager::IndexedView(time_window.get()));
+    }
+    if (count_window != nullptr) {
+      return psky::AuditManager(
+          &op, audit_options,
+          psky::AuditManager::IndexedView(count_window.get()));
+    }
+    // Sharded: each shard audits its own window; this manager stays off.
     return psky::AuditManager(&op, audit_options, window_snapshot);
   };
   psky::AuditManager audit = make_audit();
