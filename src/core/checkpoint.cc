@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -63,255 +64,218 @@ bool FailIo(std::string* error, int* out_errno, int err,
   return Fail(error, msg);
 }
 
-// Fixed-field payload prefix shared by EncodeCheckpoint and the
-// streaming writer, so both produce identical bytes for the same
-// logical state. `window_count` is the element count that follows.
-std::string EncodePayloadPrefix(const CheckpointState& state,
-                                uint64_t window_count) {
-  std::string payload;
+// The errno a chaos schedule injects at `site`, or 0 (always 0 unless a
+// schedule is armed).
+int Injected(fault::Site site) {
+  return fault::Enabled() ? fault::FailErrno(site) : 0;
+}
+
+size_t ElementBytes(int dims) { return 24 + 8 * static_cast<size_t>(dims); }
+
+std::string EncodeHeader(uint32_t crc, uint64_t payload_size) {
+  std::string header(kMagic, sizeof kMagic);
+  AppendU32(&header, kVersion);
+  AppendU32(&header, crc);
+  AppendU64(&header, payload_size);
+  return header;
+}
+
+// --- encode ---------------------------------------------------------------
+
+// Streams the payload for `state` plus `window_count` elements from
+// `source` through `emit`, one chunk of about kChunkBytes at a time (the
+// first chunk is exactly the stamp and fixed fields). `*crc` and `*size`
+// receive the payload's CRC-32 and length. Fails when `source` ends early
+// or `emit` returns false.
+bool EncodePayload(const CheckpointState& state, uint64_t window_count,
+                   const CheckpointElementSource& source,
+                   const std::function<bool(std::string_view)>& emit,
+                   uint32_t* crc, uint64_t* size, std::string* error) {
+  constexpr size_t kChunkBytes = 1 << 18;
+  *crc = 0;
+  *size = 0;
+  std::string chunk;
   // The stamp identifies the *writer*: an explicitly pre-set producer (a
   // re-encoded foreign snapshot) is preserved, otherwise this binary's.
-  AppendString(&payload,
+  AppendString(&chunk,
                state.producer.empty() ? BuildInfoString() : state.producer);
-  AppendU32(&payload, static_cast<uint32_t>(state.dims));
-  AppendF64(&payload, state.q);
-  payload.push_back(static_cast<char>(state.window_kind));
-  AppendU64(&payload, state.window_capacity);
-  AppendF64(&payload, state.time_span);
-  AppendU64(&payload, state.elements_consumed);
-  AppendU64(&payload, state.lines_consumed);
-  AppendU64(&payload, state.next_seq);
-  AppendU64(&payload, state.bad_lines_skipped);
-  AppendU64(&payload, state.probs_clamped);
-  AppendU64(&payload, state.ooo_dropped);
-  AppendU64(&payload, window_count);
-  return payload;
-}
-
-void AppendElement(std::string* payload, const UncertainElement& e, int dims) {
-  AppendU64(payload, e.seq);
-  AppendF64(payload, e.prob);
-  AppendF64(payload, e.time);
-  for (int i = 0; i < dims; ++i) AppendF64(payload, e.pos[i]);
-}
-
-}  // namespace
-
-void SetCheckpointCrashHook(CheckpointCrashHook hook) { g_crash_hook = hook; }
-
-std::string EncodeCheckpoint(const CheckpointState& state) {
-  std::string payload = EncodePayloadPrefix(state, state.window.size());
-  payload.reserve(payload.size() + state.window.size() *
-                                       (24 + 8 * static_cast<size_t>(state.dims)));
-  for (const UncertainElement& e : state.window) {
-    AppendElement(&payload, e, state.dims);
+  AppendU32(&chunk, static_cast<uint32_t>(state.dims));
+  AppendF64(&chunk, state.q);
+  chunk.push_back(static_cast<char>(state.window_kind));
+  AppendU64(&chunk, state.window_capacity);
+  AppendF64(&chunk, state.time_span);
+  AppendU64(&chunk, state.elements_consumed);
+  AppendU64(&chunk, state.lines_consumed);
+  AppendU64(&chunk, state.next_seq);
+  AppendU64(&chunk, state.bad_lines_skipped);
+  AppendU64(&chunk, state.probs_clamped);
+  AppendU64(&chunk, state.ooo_dropped);
+  AppendU64(&chunk, window_count);
+  auto flush = [&]() {
+    *crc = Crc32(chunk.data(), chunk.size(), *crc);
+    *size += chunk.size();
+    const bool ok = emit(chunk);
+    chunk.clear();
+    return ok;
+  };
+  if (!flush()) return false;
+  UncertainElement e;
+  for (uint64_t i = 0; i < window_count; ++i) {
+    if (!source(&e)) {
+      return Fail(error, "checkpoint element source ended early at " +
+                             std::to_string(i) + " of " +
+                             std::to_string(window_count));
+    }
+    AppendU64(&chunk, e.seq);
+    AppendF64(&chunk, e.prob);
+    AppendF64(&chunk, e.time);
+    for (int d = 0; d < state.dims; ++d) AppendF64(&chunk, e.pos[d]);
+    if (chunk.size() >= kChunkBytes && !flush()) return false;
   }
-
-  std::string out;
-  out.reserve(kHeaderSize + payload.size());
-  out.append(kMagic, sizeof kMagic);
-  AppendU32(&out, kVersion);
-  AppendU32(&out, Crc32(payload.data(), payload.size()));
-  AppendU64(&out, payload.size());
-  out += payload;
-  return out;
+  return chunk.empty() || flush();
 }
 
-bool DecodeCheckpoint(std::string_view bytes, CheckpointState* out,
-                      std::string* error) {
-  if (bytes.size() < kHeaderSize) {
-    return Fail(error, "checkpoint truncated: " + std::to_string(bytes.size()) +
+// --- decode ---------------------------------------------------------------
+
+constexpr char kReadError[] = "cannot read payload";
+// The stamp and fixed fields lie within this many bytes of the payload's
+// start: a u32 stamp length, the stamp, then dims, q, kind, capacity,
+// span, six stream counters and the element count.
+constexpr size_t kMaxFixedBytes = 4 + kMaxProducerBytes + 4 + 8 + 1 + 8 + 8 +
+                                  7 * 8;
+
+// Checks the fixed header at the front of `head` (which may be short).
+bool DecodeHeader(std::string_view head, uint32_t* crc, uint64_t* payload_size,
+                  std::string* error) {
+  if (head.size() < kHeaderSize) {
+    return Fail(error, "checkpoint truncated: " + std::to_string(head.size()) +
                            " bytes, header needs " +
                            std::to_string(kHeaderSize));
   }
-  if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
+  if (std::memcmp(head.data(), kMagic, sizeof kMagic) != 0) {
     return Fail(error, "bad checkpoint magic (not a checkpoint file?)");
   }
-  Cursor header(bytes.substr(sizeof kMagic));
-  uint32_t version = 0, crc = 0;
-  uint64_t payload_size = 0;
-  header.ReadU32(&version);
-  header.ReadU32(&crc);
-  header.ReadU64(&payload_size);
+  Cursor c(head.substr(sizeof kMagic, kHeaderSize - sizeof kMagic));
+  uint32_t version = 0;
+  c.ReadU32(&version);
+  c.ReadU32(crc);
+  c.ReadU64(payload_size);
   if (version != kVersion) {
     return Fail(error, "unsupported checkpoint version " +
                            std::to_string(version) + " (expected " +
                            std::to_string(kVersion) + ")");
   }
-  const std::string_view payload = bytes.substr(kHeaderSize);
-  if (payload.size() != payload_size) {
+  return true;
+}
+
+bool CheckPayload(uint64_t want_size, uint64_t got_size, uint32_t want_crc,
+                  uint32_t got_crc, std::string* error) {
+  if (got_size != want_size) {
     return Fail(error, "checkpoint payload size mismatch: header says " +
-                           std::to_string(payload_size) + ", file has " +
-                           std::to_string(payload.size()));
+                           std::to_string(want_size) + ", file has " +
+                           std::to_string(got_size));
   }
-  if (Crc32(payload.data(), payload.size()) != crc) {
+  if (got_crc != want_crc) {
     return Fail(error, "checkpoint CRC mismatch (corrupted payload)");
   }
+  return true;
+}
 
-  CheckpointState state;
-  Cursor c(payload);
+// Decodes and validates the stamp and fixed fields of a CRC-checked
+// payload of `payload_size` bytes from `head`, its first
+// min(payload_size, kMaxFixedBytes) bytes. `*consumed` receives their
+// length and `*count` the element count, checked against the bytes left.
+bool DecodeFixedFields(std::string_view head, uint64_t payload_size,
+                       CheckpointState* state, uint64_t* count,
+                       size_t* consumed, std::string* error) {
+  Cursor c(head);
   uint32_t dims = 0;
   uint8_t kind = 0;
-  uint64_t count = 0;
-  if (!c.ReadString(&state.producer, kMaxProducerBytes)) {
+  if (!c.ReadString(&state->producer, kMaxProducerBytes)) {
     return Fail(error, "checkpoint build-info stamp truncated or oversized");
   }
-  if (!c.ReadU32(&dims) || !c.ReadF64(&state.q) || !c.ReadU8(&kind) ||
-      !c.ReadU64(&state.window_capacity) || !c.ReadF64(&state.time_span) ||
-      !c.ReadU64(&state.elements_consumed) ||
-      !c.ReadU64(&state.lines_consumed) || !c.ReadU64(&state.next_seq) ||
-      !c.ReadU64(&state.bad_lines_skipped) || !c.ReadU64(&state.probs_clamped) ||
-      !c.ReadU64(&state.ooo_dropped) || !c.ReadU64(&count)) {
+  if (!c.ReadU32(&dims) || !c.ReadF64(&state->q) || !c.ReadU8(&kind) ||
+      !c.ReadU64(&state->window_capacity) || !c.ReadF64(&state->time_span) ||
+      !c.ReadU64(&state->elements_consumed) ||
+      !c.ReadU64(&state->lines_consumed) || !c.ReadU64(&state->next_seq) ||
+      !c.ReadU64(&state->bad_lines_skipped) ||
+      !c.ReadU64(&state->probs_clamped) || !c.ReadU64(&state->ooo_dropped) ||
+      !c.ReadU64(count)) {
     return Fail(error, "checkpoint payload truncated in fixed fields");
   }
   if (dims < 1 || dims > static_cast<uint32_t>(kMaxDims)) {
     return Fail(error, "checkpoint dims out of range: " + std::to_string(dims));
   }
-  state.dims = static_cast<int>(dims);
-  if (!(state.q > 0.0) || !(state.q <= 1.0) || !std::isfinite(state.q)) {
+  state->dims = static_cast<int>(dims);
+  if (!(state->q > 0.0) || !(state->q <= 1.0) || !std::isfinite(state->q)) {
     return Fail(error, "checkpoint q out of range");
   }
   if (kind > static_cast<uint8_t>(WindowKind::kTime)) {
     return Fail(error, "checkpoint window kind unknown: " +
                            std::to_string(kind));
   }
-  state.window_kind = static_cast<WindowKind>(kind);
-  const size_t elem_bytes = 24 + 8 * static_cast<size_t>(state.dims);
+  state->window_kind = static_cast<WindowKind>(kind);
+  *consumed = head.size() - c.remaining();
+  const uint64_t left = payload_size - *consumed;
+  const uint64_t elem_bytes = ElementBytes(state->dims);
   // Divide instead of multiplying: count is attacker-controlled and
-  // count * elem_bytes can wrap mod 2^64 to match remaining(), sending a
-  // colossal count into window.reserve() (fuzz regression
+  // count * elem_bytes can wrap mod 2^64 to match the bytes left, sending
+  // a colossal count into a reserve() (fuzz regression
   // ckpt-count-overflow).
-  if (count > c.remaining() / elem_bytes || c.remaining() != count * elem_bytes) {
+  if (*count > left / elem_bytes || left != *count * elem_bytes) {
     return Fail(error, "checkpoint element section size mismatch: " +
-                           std::to_string(count) + " elements need " +
-                           std::to_string(count * elem_bytes) + " bytes, " +
-                           std::to_string(c.remaining()) + " present");
+                           std::to_string(*count) + " elements need " +
+                           std::to_string(*count * elem_bytes) + " bytes, " +
+                           std::to_string(left) + " present");
   }
-  state.window.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    UncertainElement e;
-    e.pos = Point(state.dims);
+  return true;
+}
+
+// Decodes and validates the whole elements in `bytes` into `sink`;
+// `first` is the window index of the first one (for diagnostics).
+bool DecodeElements(std::string_view bytes, int dims, uint64_t first,
+                    const CheckpointElementSink& sink, std::string* error) {
+  const size_t count = bytes.size() / ElementBytes(dims);
+  Cursor c(bytes);
+  UncertainElement e;
+  e.pos = Point(dims);
+  for (uint64_t i = first; i < first + count; ++i) {
     c.ReadU64(&e.seq);
     c.ReadF64(&e.prob);
     c.ReadF64(&e.time);
-    for (int d = 0; d < state.dims; ++d) c.ReadF64(&e.pos[d]);
+    for (int d = 0; d < dims; ++d) c.ReadF64(&e.pos[d]);
     if (!std::isfinite(e.prob) || e.prob <= 0.0 || e.prob > 1.0) {
       return Fail(error, "checkpoint element " + std::to_string(i) +
                              " has invalid probability");
     }
-    for (int d = 0; d < state.dims; ++d) {
+    for (int d = 0; d < dims; ++d) {
       if (!std::isfinite(e.pos[d])) {
         return Fail(error, "checkpoint element " + std::to_string(i) +
                                " has non-finite coordinate");
       }
     }
-    state.window.push_back(e);
+    sink(e);
+  }
+  return true;
+}
+
+// Reads an opened file's header and window into `*out`.
+bool ReadWindow(CheckpointFileReader* reader, CheckpointState* out,
+                std::string* error) {
+  CheckpointState state = reader->header();
+  state.window.reserve(reader->window_count());
+  if (!reader->ReadElements(
+          [&state](const UncertainElement& e) { state.window.push_back(e); },
+          error)) {
+    return false;
   }
   *out = std::move(state);
   return true;
 }
 
-bool WriteCheckpointFile(const std::string& path, const CheckpointState& state,
-                         std::string* error) {
-  return WriteCheckpointFile(path, state, error, nullptr);
-}
+}  // namespace
 
-bool WriteCheckpointFile(const std::string& path, const CheckpointState& state,
-                         std::string* error, int* out_errno) {
-  if (out_errno != nullptr) *out_errno = 0;
-  // A crash mid-write leaves a ".tmp" behind; clear that wreckage before
-  // producing more so interrupted runs cannot accumulate temp files.
-  const std::string parent =
-      std::filesystem::path(path).parent_path().string();
-  RemoveStaleCheckpointTemps(parent.empty() ? "." : parent);
-  const std::string bytes = EncodeCheckpoint(state);
-  const std::string tmp = path + ".tmp";
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kCheckpointOpen)) {
-      return FailIo(error, out_errno, inj,
-                    "cannot open " + tmp + ": " + ErrnoString(inj) +
-                        " (injected)");
-    }
-  }
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return FailIo(error, out_errno, errno,
-                  "cannot open " + tmp + ": " + ErrnoString());
-  }
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kCheckpointWrite)) {
-      std::fclose(f);
-      return FailIo(error, out_errno, inj,
-                    "cannot write " + tmp + ": " + ErrnoString(inj) +
-                        " (injected)");
-    }
-  }
-  // Two-chunk write with an injectable crash between the chunks, so fault
-  // tests can produce a genuinely truncated temp file.
-  const size_t half = bytes.size() / 2;
-  errno = 0;
-  if (std::fwrite(bytes.data(), 1, half, f) != half) {
-    const int err = errno != 0 ? errno : EIO;
-    std::fclose(f);
-    return FailIo(error, out_errno, err, "short write to " + tmp);
-  }
-  if (!SurvivesCrashPoint(CheckpointCrashPoint::kMidPayload)) {
-    std::fclose(f);
-    return Fail(error, "simulated crash mid-checkpoint-write");
-  }
-  if (std::fwrite(bytes.data() + half, 1, bytes.size() - half, f) !=
-      bytes.size() - half) {
-    const int err = errno != 0 ? errno : EIO;
-    std::fclose(f);
-    return FailIo(error, out_errno, err, "short write to " + tmp);
-  }
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kCheckpointFsync)) {
-      std::fclose(f);
-      return FailIo(error, out_errno, inj,
-                    "cannot flush " + tmp + ": " + ErrnoString(inj) +
-                        " (injected)");
-    }
-  }
-  if (std::fflush(f) != 0 || fsync(fileno(f)) != 0) {
-    const int err = errno;
-    std::fclose(f);
-    return FailIo(error, out_errno, err,
-                  "cannot flush " + tmp + ": " + ErrnoString(err));
-  }
-  std::fclose(f);
-  if (!SurvivesCrashPoint(CheckpointCrashPoint::kBeforeRename)) {
-    return Fail(error, "simulated crash before checkpoint rename");
-  }
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kCheckpointRename)) {
-      return FailIo(error, out_errno, inj,
-                    "cannot rename " + tmp + " to " + path + ": " +
-                        ErrnoString(inj) + " (injected)");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return FailIo(error, out_errno, errno,
-                  "cannot rename " + tmp + " to " + path + ": " +
-                      ErrnoString());
-  }
-  return true;
-}
-
-bool WriteCheckpointFileRetry(const std::string& path,
-                              const CheckpointState& state,
-                              const RetryPolicy& policy, RetryStats* stats,
-                              std::string* error) {
-  std::string last_error;
-  const bool ok = RetryWithBackoff(
-      policy,
-      [&](int* err) {
-        return WriteCheckpointFile(path, state, &last_error, err);
-      },
-      stats);
-  if (!ok && error != nullptr) *error = last_error;
-  return ok;
-}
+void SetCheckpointCrashHook(CheckpointCrashHook hook) { g_crash_hook = hook; }
 
 bool WriteCheckpointFileStreamed(const std::string& path,
                                  const CheckpointState& state,
@@ -319,118 +283,83 @@ bool WriteCheckpointFileStreamed(const std::string& path,
                                  const CheckpointElementSource& source,
                                  std::string* error, int* out_errno) {
   if (out_errno != nullptr) *out_errno = 0;
+  // A crash mid-write leaves a ".tmp" behind; clear that wreckage before
+  // producing more so interrupted runs cannot accumulate temp files.
   const std::string parent =
       std::filesystem::path(path).parent_path().string();
   RemoveStaleCheckpointTemps(parent.empty() ? "." : parent);
   const std::string tmp = path + ".tmp";
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kCheckpointOpen)) {
-      return FailIo(error, out_errno, inj,
-                    "cannot open " + tmp + ": " + ErrnoString(inj) +
-                        " (injected)");
-    }
+  if (const int inj = Injected(fault::Site::kCheckpointOpen)) {
+    return FailIo(error, out_errno, inj,
+                  "cannot open " + tmp + ": " + ErrnoString(inj) +
+                      " (injected)");
   }
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     return FailIo(error, out_errno, errno,
                   "cannot open " + tmp + ": " + ErrnoString());
   }
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kCheckpointWrite)) {
-      std::fclose(f);
-      return FailIo(error, out_errno, inj,
-                    "cannot write " + tmp + ": " + ErrnoString(inj) +
-                        " (injected)");
-    }
-  }
-  auto fail_write = [&]() {
-    const int err = errno != 0 ? errno : EIO;
+  // Every exit below closes the temp exactly once.
+  auto fail = [&](int err, const std::string& msg) {
     std::fclose(f);
-    return FailIo(error, out_errno, err, "short write to " + tmp);
+    return FailIo(error, out_errno, err, msg);
   };
-  // Placeholder header: the payload CRC and size are only known once the
-  // payload has streamed past the incremental checksum, so they are
-  // back-patched before the fsync. The rename-into-place discipline means
-  // no reader ever sees the placeholder.
-  std::string header;
-  header.append(kMagic, sizeof kMagic);
-  AppendU32(&header, kVersion);
-  AppendU32(&header, 0);
-  AppendU64(&header, 0);
-  errno = 0;
-  if (std::fwrite(header.data(), 1, header.size(), f) != header.size()) {
-    return fail_write();
+  if (const int inj = Injected(fault::Site::kCheckpointWrite)) {
+    return fail(inj, "cannot write " + tmp + ": " + ErrnoString(inj) +
+                         " (injected)");
   }
+  // The header is written twice: a placeholder first, then — once the
+  // payload has streamed past the incremental CRC — the real one. The
+  // rename-into-place discipline means no reader sees the placeholder.
+  int write_errno = 0;
+  bool crashed = false;
+  int chunks = 0;
+  auto emit = [&](std::string_view bytes) {
+    errno = 0;
+    if (std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
+      write_errno = errno != 0 ? errno : EIO;
+      return false;
+    }
+    // The injectable crash leaves a genuinely truncated temp: the
+    // placeholder header plus the payload's first chunk.
+    if (++chunks == 2) {
+      crashed = !SurvivesCrashPoint(CheckpointCrashPoint::kMidPayload);
+    }
+    return !crashed;
+  };
   uint32_t crc = 0;
   uint64_t payload_size = 0;
-  std::string chunk = EncodePayloadPrefix(state, window_count);
-  auto flush_chunk = [&]() {
-    crc = Crc32(chunk.data(), chunk.size(), crc);
-    payload_size += chunk.size();
-    errno = 0;
-    const bool ok =
-        std::fwrite(chunk.data(), 1, chunk.size(), f) == chunk.size();
-    chunk.clear();
-    return ok;
-  };
-  if (!flush_chunk()) return fail_write();
-  if (!SurvivesCrashPoint(CheckpointCrashPoint::kMidPayload)) {
-    std::fclose(f);
-    return Fail(error, "simulated crash mid-checkpoint-write");
+  std::string source_error;
+  if (!emit(EncodeHeader(0, 0)) ||
+      !EncodePayload(state, window_count, source, emit, &crc, &payload_size,
+                     &source_error)) {
+    if (crashed) return fail(0, "simulated crash mid-checkpoint-write");
+    if (write_errno != 0) return fail(write_errno, "short write to " + tmp);
+    return fail(0, source_error);
   }
-  // One chunk of elements in memory at a time — never the window.
-  constexpr size_t kChunkBytes = 1 << 18;
-  UncertainElement e;
-  for (uint64_t i = 0; i < window_count; ++i) {
-    if (!source(&e)) {
-      std::fclose(f);
-      return Fail(error, "checkpoint element source ended early at " +
-                             std::to_string(i) + " of " +
-                             std::to_string(window_count));
-    }
-    AppendElement(&chunk, e, state.dims);
-    if (chunk.size() >= kChunkBytes && !flush_chunk()) return fail_write();
-  }
-  if (!chunk.empty() && !flush_chunk()) return fail_write();
-  std::string patched;
-  patched.append(kMagic, sizeof kMagic);
-  AppendU32(&patched, kVersion);
-  AppendU32(&patched, crc);
-  AppendU64(&patched, payload_size);
   if (std::fseek(f, 0, SEEK_SET) != 0) {
     const int err = errno;
-    std::fclose(f);
-    return FailIo(error, out_errno, err,
-                  "cannot seek in " + tmp + ": " + ErrnoString(err));
+    return fail(err, "cannot seek in " + tmp + ": " + ErrnoString(err));
   }
-  errno = 0;
-  if (std::fwrite(patched.data(), 1, patched.size(), f) != patched.size()) {
-    return fail_write();
+  if (!emit(EncodeHeader(crc, payload_size))) {
+    return fail(write_errno, "short write to " + tmp);
   }
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kCheckpointFsync)) {
-      std::fclose(f);
-      return FailIo(error, out_errno, inj,
-                    "cannot flush " + tmp + ": " + ErrnoString(inj) +
-                        " (injected)");
-    }
+  if (const int inj = Injected(fault::Site::kCheckpointFsync)) {
+    return fail(inj, "cannot flush " + tmp + ": " + ErrnoString(inj) +
+                         " (injected)");
   }
   if (std::fflush(f) != 0 || fsync(fileno(f)) != 0) {
     const int err = errno;
-    std::fclose(f);
-    return FailIo(error, out_errno, err,
-                  "cannot flush " + tmp + ": " + ErrnoString(err));
+    return fail(err, "cannot flush " + tmp + ": " + ErrnoString(err));
   }
   std::fclose(f);
   if (!SurvivesCrashPoint(CheckpointCrashPoint::kBeforeRename)) {
     return Fail(error, "simulated crash before checkpoint rename");
   }
-  if (fault::Enabled()) {
-    if (const int inj = fault::FailErrno(fault::Site::kCheckpointRename)) {
-      return FailIo(error, out_errno, inj,
-                    "cannot rename " + tmp + " to " + path + ": " +
-                        ErrnoString(inj) + " (injected)");
-    }
+  if (const int inj = Injected(fault::Site::kCheckpointRename)) {
+    return FailIo(error, out_errno, inj,
+                  "cannot rename " + tmp + " to " + path + ": " +
+                      ErrnoString(inj) + " (injected)");
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return FailIo(error, out_errno, errno,
@@ -459,167 +388,144 @@ bool WriteCheckpointFileStreamedRetry(
   return ok;
 }
 
-bool ReadCheckpointFileStreamed(const std::string& path, CheckpointState* out,
-                                const CheckpointElementSink& sink,
-                                std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+CheckpointFileReader::~CheckpointFileReader() {
+  if (file_ != nullptr) std::fclose(file_);
+}
+
+bool CheckpointFileReader::Open(const std::string& path, std::string* error) {
+  if (file_ != nullptr) std::fclose(file_);
+  path_ = path;
+  header_ = CheckpointState{};
+  window_count_ = 0;
+  file_ = std::fopen(path.c_str(), "rb");
+  if (file_ == nullptr) {
     return Fail(error, "cannot open " + path + ": " + ErrnoString());
   }
-  auto fail_close = [&](const std::string& msg) {
-    std::fclose(f);
+  std::string msg = kReadError;
+  auto reject = [&]() {
+    std::fclose(file_);
+    file_ = nullptr;
     return Fail(error, path + ": " + msg);
   };
-  char header[kHeaderSize];
-  const size_t header_got = std::fread(header, 1, sizeof header, f);
-  if (header_got < kHeaderSize) {
-    return fail_close("checkpoint truncated: " + std::to_string(header_got) +
-                      " bytes, header needs " + std::to_string(kHeaderSize));
-  }
-  if (std::memcmp(header, kMagic, sizeof kMagic) != 0) {
-    return fail_close("bad checkpoint magic (not a checkpoint file?)");
-  }
-  Cursor hc(std::string_view(header + sizeof kMagic,
-                             kHeaderSize - sizeof kMagic));
-  uint32_t version = 0, crc = 0;
+  char head[kHeaderSize];
+  const size_t got = std::fread(head, 1, sizeof head, file_);
+  uint32_t crc = 0;
   uint64_t payload_size = 0;
-  hc.ReadU32(&version);
-  hc.ReadU32(&crc);
-  hc.ReadU64(&payload_size);
-  if (version != kVersion) {
-    return fail_close("unsupported checkpoint version " +
-                      std::to_string(version) + " (expected " +
-                      std::to_string(kVersion) + ")");
+  if (!DecodeHeader(std::string_view(head, got), &crc, &payload_size, &msg)) {
+    return reject();
   }
-  // Pass 1: checksum the payload without retaining it, so corruption is
-  // detected before any element reaches the sink.
+  // Checksum the payload without retaining it, so corruption is detected
+  // before any element reaches a sink.
   uint32_t actual_crc = 0;
   uint64_t actual_size = 0;
-  {
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-      actual_crc = Crc32(buf, n, actual_crc);
-      actual_size += n;
-    }
-    if (std::ferror(f) != 0) return fail_close("cannot read payload");
+  std::string buf(1 << 16, '\0');
+  size_t n;
+  while ((n = std::fread(buf.data(), 1, buf.size(), file_)) > 0) {
+    actual_crc = Crc32(buf.data(), n, actual_crc);
+    actual_size += n;
   }
-  if (actual_size != payload_size) {
-    return fail_close("checkpoint payload size mismatch: header says " +
-                      std::to_string(payload_size) + ", file has " +
-                      std::to_string(actual_size));
+  if (std::ferror(file_) != 0 ||
+      !CheckPayload(payload_size, actual_size, crc, actual_crc, &msg)) {
+    return reject();
   }
-  if (actual_crc != crc) {
-    return fail_close("checkpoint CRC mismatch (corrupted payload)");
+  buf.resize(
+      static_cast<size_t>(std::min<uint64_t>(payload_size, kMaxFixedBytes)));
+  size_t consumed = 0;
+  if (std::fseek(file_, static_cast<long>(kHeaderSize), SEEK_SET) != 0 ||
+      std::fread(buf.data(), 1, buf.size(), file_) != buf.size() ||
+      !DecodeFixedFields(buf, payload_size, &header_, &window_count_,
+                         &consumed, &msg)) {
+    return reject();
   }
-  // Pass 2: decode. The fixed fields fit a small buffer (the producer
-  // stamp is capped at kMaxProducerBytes); elements stream in batches.
-  if (std::fseek(f, static_cast<long>(kHeaderSize), SEEK_SET) != 0) {
-    return fail_close("cannot seek to payload");
-  }
-  std::string fixed(static_cast<size_t>(std::min<uint64_t>(
-                        payload_size, kMaxProducerBytes + 256)),
-                    '\0');
-  if (std::fread(fixed.data(), 1, fixed.size(), f) != fixed.size()) {
-    return fail_close("cannot read payload");
-  }
-  CheckpointState state;
-  Cursor c(fixed);
-  uint32_t dims = 0;
-  uint8_t kind = 0;
-  uint64_t count = 0;
-  if (!c.ReadString(&state.producer, kMaxProducerBytes)) {
-    return fail_close("checkpoint build-info stamp truncated or oversized");
-  }
-  if (!c.ReadU32(&dims) || !c.ReadF64(&state.q) || !c.ReadU8(&kind) ||
-      !c.ReadU64(&state.window_capacity) || !c.ReadF64(&state.time_span) ||
-      !c.ReadU64(&state.elements_consumed) ||
-      !c.ReadU64(&state.lines_consumed) || !c.ReadU64(&state.next_seq) ||
-      !c.ReadU64(&state.bad_lines_skipped) ||
-      !c.ReadU64(&state.probs_clamped) || !c.ReadU64(&state.ooo_dropped) ||
-      !c.ReadU64(&count)) {
-    return fail_close("checkpoint payload truncated in fixed fields");
-  }
-  if (dims < 1 || dims > static_cast<uint32_t>(kMaxDims)) {
-    return fail_close("checkpoint dims out of range: " + std::to_string(dims));
-  }
-  state.dims = static_cast<int>(dims);
-  if (!(state.q > 0.0) || !(state.q <= 1.0) || !std::isfinite(state.q)) {
-    return fail_close("checkpoint q out of range");
-  }
-  if (kind > static_cast<uint8_t>(WindowKind::kTime)) {
-    return fail_close("checkpoint window kind unknown: " +
-                      std::to_string(kind));
-  }
-  state.window_kind = static_cast<WindowKind>(kind);
-  const size_t consumed = fixed.size() - c.remaining();
-  const uint64_t elem_section = payload_size - consumed;
-  const uint64_t elem_bytes = 24 + 8 * static_cast<uint64_t>(state.dims);
-  // Same division-first overflow guard as DecodeCheckpoint.
-  if (count > elem_section / elem_bytes ||
-      elem_section != count * elem_bytes) {
-    return fail_close("checkpoint element section size mismatch: " +
-                      std::to_string(count) + " elements need " +
-                      std::to_string(count * elem_bytes) + " bytes, " +
-                      std::to_string(elem_section) + " present");
-  }
-  if (std::fseek(f, static_cast<long>(kHeaderSize + consumed), SEEK_SET) !=
-      0) {
-    return fail_close("cannot seek to element section");
-  }
+  elements_offset_ = static_cast<long>(kHeaderSize + consumed);
+  return true;
+}
+
+bool CheckpointFileReader::ReadElements(const CheckpointElementSink& sink,
+                                        std::string* error) {
   constexpr uint64_t kBatchElements = 4096;
+  const size_t elem_bytes = ElementBytes(header_.dims);
+  std::string msg = kReadError;
   std::string buf;
-  uint64_t i = 0;
-  while (i < count) {
-    const uint64_t take = std::min(kBatchElements, count - i);
-    buf.resize(static_cast<size_t>(take * elem_bytes));
-    if (std::fread(buf.data(), 1, buf.size(), f) != buf.size()) {
-      return fail_close("cannot read payload");
-    }
-    Cursor ec(buf);
-    for (uint64_t k = 0; k < take; ++k, ++i) {
-      UncertainElement e;
-      e.pos = Point(state.dims);
-      ec.ReadU64(&e.seq);
-      ec.ReadF64(&e.prob);
-      ec.ReadF64(&e.time);
-      for (int d = 0; d < state.dims; ++d) ec.ReadF64(&e.pos[d]);
-      if (!std::isfinite(e.prob) || e.prob <= 0.0 || e.prob > 1.0) {
-        return fail_close("checkpoint element " + std::to_string(i) +
-                          " has invalid probability");
-      }
-      for (int d = 0; d < state.dims; ++d) {
-        if (!std::isfinite(e.pos[d])) {
-          return fail_close("checkpoint element " + std::to_string(i) +
-                            " has non-finite coordinate");
-        }
-      }
-      sink(e);
-    }
+  bool ok = file_ != nullptr &&
+            std::fseek(file_, elements_offset_, SEEK_SET) == 0;
+  for (uint64_t i = 0; ok && i < window_count_; i += kBatchElements) {
+    buf.resize(std::min(kBatchElements, window_count_ - i) * elem_bytes);
+    ok = std::fread(buf.data(), 1, buf.size(), file_) == buf.size() &&
+         DecodeElements(buf, header_.dims, i, sink, &msg);
   }
-  std::fclose(f);
+  return ok || Fail(error, path_ + ": " + msg);
+}
+
+bool OpenLatestCheckpoint(
+    const std::string& dir, CheckpointFileReader* reader,
+    std::vector<std::string>* skipped, std::string* diagnostics,
+    const std::function<bool(CheckpointFileReader*)>& accept) {
+  for (const std::string& path : ListCheckpointFiles(dir)) {  // newest first
+    std::string file_error;
+    if (!reader->Open(path, &file_error)) {
+      if (skipped != nullptr) skipped->push_back(path);
+      if (!diagnostics->empty()) diagnostics->append("; ");
+      diagnostics->append(file_error);
+      continue;
+    }
+    if (!accept || accept(reader)) return true;
+  }
+  return false;
+}
+
+std::string EncodeCheckpoint(const CheckpointState& state) {
+  std::string out = EncodeHeader(0, 0);
+  uint32_t crc = 0;
+  uint64_t payload_size = 0;
+  EncodePayload(
+      state, state.window.size(), IndexedSource(&state.window),
+      [&out](std::string_view bytes) {
+        out.append(bytes);
+        return true;
+      },
+      &crc, &payload_size, nullptr);
+  out.replace(0, kHeaderSize, EncodeHeader(crc, payload_size));
+  return out;
+}
+
+bool DecodeCheckpoint(std::string_view bytes, CheckpointState* out,
+                      std::string* error) {
+  uint32_t crc = 0;
+  uint64_t payload_size = 0;
+  if (!DecodeHeader(bytes, &crc, &payload_size, error)) return false;
+  const std::string_view payload = bytes.substr(kHeaderSize);
+  CheckpointState state;
+  uint64_t count = 0;
+  size_t consumed = 0;
+  if (!CheckPayload(payload_size, payload.size(), crc,
+                    Crc32(payload.data(), payload.size()), error) ||
+      !DecodeFixedFields(payload.substr(0, kMaxFixedBytes), payload_size,
+                         &state, &count, &consumed, error)) {
+    return false;
+  }
+  state.window.reserve(count);
+  if (!DecodeElements(
+          payload.substr(consumed), state.dims, 0,
+          [&state](const UncertainElement& e) { state.window.push_back(e); },
+          error)) {
+    return false;
+  }
   *out = std::move(state);
   return true;
 }
 
+bool WriteCheckpointFile(const std::string& path, const CheckpointState& state,
+                         std::string* error, int* out_errno) {
+  return WriteCheckpointFileStreamed(path, state, state.window.size(),
+                                     IndexedSource(&state.window), error,
+                                     out_errno);
+}
+
 bool ReadCheckpointFile(const std::string& path, CheckpointState* out,
                         std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Fail(error, "cannot open " + path + ": " + ErrnoString());
-  }
-  std::string bytes;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Fail(error, "cannot read " + path);
-  std::string decode_error;
-  if (!DecodeCheckpoint(bytes, out, &decode_error)) {
-    return Fail(error, path + ": " + decode_error);
-  }
-  return true;
+  CheckpointFileReader reader;
+  return reader.Open(path, error) && ReadWindow(&reader, out, error);
 }
 
 std::string CheckpointFileName(uint64_t elements_consumed) {
@@ -629,14 +535,22 @@ std::string CheckpointFileName(uint64_t elements_consumed) {
   return buf;
 }
 
+bool ParseCheckpointStep(const std::string& path, uint64_t* step) {
+  const std::string name = std::filesystem::path(path).filename().string();
+  if (name.size() != CheckpointFileName(0).size() ||
+      !name.starts_with("ckpt-") || !name.ends_with(".psky")) {
+    return false;
+  }
+  const char* digits = name.data() + 5;
+  return std::from_chars(digits, digits + 20, *step).ptr == digits + 20;
+}
+
 std::vector<std::string> ListCheckpointFiles(const std::string& dir) {
   std::vector<std::string> files;
   std::error_code ec;
+  uint64_t step = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() == CheckpointFileName(0).size() &&
-        name.rfind("ckpt-", 0) == 0 &&
-        name.compare(name.size() - 5, 5, ".psky") == 0) {
+    if (ParseCheckpointStep(entry.path().string(), &step)) {
       files.push_back(entry.path().string());
     }
   }
@@ -647,27 +561,28 @@ std::vector<std::string> ListCheckpointFiles(const std::string& dir) {
 
 bool LoadLatestCheckpoint(const std::string& dir, CheckpointState* out,
                           std::string* error) {
-  const std::vector<std::string> files = ListCheckpointFiles(dir);
+  CheckpointFileReader reader;
   std::string diagnostics;
-  for (const std::string& path : files) {
-    std::string file_error;
-    if (ReadCheckpointFile(path, out, &file_error)) {
-      if (error != nullptr) *error = diagnostics;  // warnings, if any
-      return true;
-    }
-    diagnostics += (diagnostics.empty() ? "" : "; ") + file_error;
+  if (!OpenLatestCheckpoint(dir, &reader, nullptr, &diagnostics)) {
+    return Fail(error, diagnostics.empty() ? "no checkpoint files in " + dir
+                                           : diagnostics);
   }
-  if (diagnostics.empty()) diagnostics = "no checkpoint files in " + dir;
-  return Fail(error, diagnostics);
+  if (error != nullptr) *error = diagnostics;  // warnings, if any
+  return ReadWindow(&reader, out, error);
 }
 
-void PruneCheckpoints(const std::string& dir, size_t keep) {
+uint64_t PruneCheckpoints(const std::string& dir, size_t keep) {
   const std::vector<std::string> files = ListCheckpointFiles(dir);
   std::error_code ec;
   for (size_t i = keep; i < files.size(); ++i) {
     std::filesystem::remove(files[i], ec);
   }
   RemoveStaleCheckpointTemps(dir);
+  uint64_t oldest = UINT64_MAX;
+  if (keep > 0 && !files.empty()) {
+    ParseCheckpointStep(files[std::min(keep, files.size()) - 1], &oldest);
+  }
+  return oldest;
 }
 
 size_t RemoveStaleCheckpointTemps(const std::string& dir) {

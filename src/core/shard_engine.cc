@@ -145,17 +145,13 @@ bool ShardEngine::Route(const UncertainElement& e,
   return true;
 }
 
-void ShardEngine::Restore(std::span<const UncertainElement> window) {
-  PSKY_CHECK(ring_.empty());
-  for (const UncertainElement& e : window) {
-    PSKY_CHECK(options_.window_capacity == 0 ||
-               ring_.size() < options_.window_capacity);
-    const uint8_t owner = static_cast<uint8_t>(ShardOf(e));
-    ring_.push_back(RingEntry{e.time, owner});
-    SendInsert(e, owner);
-    if (e.time > watermark_) watermark_ = e.time;
-  }
-  Barrier();
+void ShardEngine::Restore(const UncertainElement& e) {
+  PSKY_CHECK(options_.window_capacity == 0 ||
+             ring_.size() < options_.window_capacity);
+  const uint8_t owner = static_cast<uint8_t>(ShardOf(e));
+  ring_.push_back(RingEntry{e.time, owner});
+  SendInsert(e, owner);
+  if (e.time > watermark_) watermark_ = e.time;
 }
 
 void ShardEngine::Barrier() {
@@ -348,31 +344,40 @@ std::vector<SkylineMember> ShardEngine::GlobalSkyline(
   return out;
 }
 
-std::vector<UncertainElement> ShardEngine::WindowSnapshot() {
-  Barrier();
+ShardEngine::WindowCursor::WindowCursor(const ShardEngine* engine)
+    : engine_(engine), pos_(engine->shards_.size(), 0) {}
+
+bool ShardEngine::WindowCursor::Next(UncertainElement* e) {
   // K-way merge of the shard FIFOs by arrival sequence. Each FIFO is
   // already seq-sorted (commands arrive in global order), so a linear
   // merge reconstructs the exact sequential window.
+  const UncertainElement* best = nullptr;
+  size_t best_shard = 0;
+  for (size_t i = 0; i < pos_.size(); ++i) {
+    const auto& fifo = engine_->shards_[i]->fifo;
+    if (pos_[i] < fifo.size() &&
+        (best == nullptr || fifo[pos_[i]].seq < best->seq)) {
+      best = &fifo[pos_[i]];
+      best_shard = i;
+    }
+  }
+  if (best == nullptr) return false;
+  *e = *best;
+  ++pos_[best_shard];
+  return true;
+}
+
+ShardEngine::WindowCursor ShardEngine::NewWindowCursor() {
+  Barrier();
+  return WindowCursor(this);
+}
+
+std::vector<UncertainElement> ShardEngine::WindowSnapshot() {
+  WindowCursor cursor = NewWindowCursor();
   std::vector<UncertainElement> out;
   out.reserve(ring_.size());
-  std::vector<size_t> cursor(static_cast<size_t>(shards()), 0);
-  while (true) {
-    int best = -1;
-    uint64_t best_seq = 0;
-    for (int i = 0; i < shards(); ++i) {
-      const auto& fifo = shards_[static_cast<size_t>(i)]->fifo;
-      const size_t c = cursor[static_cast<size_t>(i)];
-      if (c >= fifo.size()) continue;
-      if (best < 0 || fifo[c].seq < best_seq) {
-        best = i;
-        best_seq = fifo[c].seq;
-      }
-    }
-    if (best < 0) break;
-    out.push_back(
-        shards_[static_cast<size_t>(best)]->fifo[cursor[static_cast<size_t>(
-            best)]++]);
-  }
+  UncertainElement e;
+  while (cursor.Next(&e)) out.push_back(e);
   PSKY_CHECK(out.size() == ring_.size());
   return out;
 }

@@ -71,11 +71,12 @@
 // candidate a only if j occupies some cell in the region dominating
 // cell(a). Skips are exact negatives, never false ones.
 //
-// Thread-safety: Route/Barrier/GlobalSkyline/WindowSnapshot/Restore must
-// all be called from one thread (the router). Stats() is safe from any
-// thread. Barrier() returns only after every routed command is applied,
-// with acquire/release ordering on the per-shard applied counters, so
-// reading shard state after a barrier is race-free.
+// Thread-safety: Route/Barrier/GlobalSkyline/WindowSnapshot/Restore, and
+// NewWindowCursor with reads of its cursor, must all be called from one
+// thread (the router). Stats() is safe from any thread. Barrier() returns
+// only after every routed command is applied, with acquire/release
+// ordering on the per-shard applied counters, so reading shard state after
+// a barrier is race-free.
 
 #ifndef PSKY_CORE_SHARD_ENGINE_H_
 #define PSKY_CORE_SHARD_ENGINE_H_
@@ -84,7 +85,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -158,14 +158,31 @@ class ShardEngine {
   /// receives |S*| — exactly the sequential operator's candidate count.
   std::vector<SkylineMember> GlobalSkyline(size_t* candidate_count = nullptr);
 
-  /// Barrier + merged window contents in global arrival order — the
-  /// byte-identical input to CheckpointState::window that a sequential
-  /// run would snapshot.
+  /// Reads the merged window in global arrival order straight out of the
+  /// shard FIFOs — the byte-identical element sequence a sequential run
+  /// would checkpoint. Valid until the next Route/Restore.
+  class WindowCursor {
+   public:
+    /// The next element, oldest first; false past the newest.
+    bool Next(UncertainElement* e);
+
+   private:
+    friend class ShardEngine;
+    explicit WindowCursor(const ShardEngine* engine);
+    const ShardEngine* engine_;
+    std::vector<size_t> pos_;  // per-shard FIFO position
+  };
+
+  /// Barrier + a cursor over the merged window (see WindowCursor).
+  WindowCursor NewWindowCursor();
+
+  /// The merged window copied out; O(window) memory — checkpoints stream
+  /// through NewWindowCursor() instead.
   std::vector<UncertainElement> WindowSnapshot();
 
-  /// Re-feeds a checkpointed window (oldest first) through the router,
-  /// bypassing policy counters: the elements were already admitted once.
-  void Restore(std::span<const UncertainElement> window);
+  /// Re-feeds one checkpointed window element (oldest first) through the
+  /// router, bypassing policy counters: it was already admitted once.
+  void Restore(const UncertainElement& e);
 
   /// Drains and joins all shard workers. Idempotent; called by the
   /// destructor. The engine cannot be reused afterwards.

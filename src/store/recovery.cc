@@ -1,7 +1,9 @@
 #include "store/recovery.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 
 namespace psky {
 
@@ -17,118 +19,13 @@ void Note(std::string* notes, const std::string& msg) {
   notes->append(msg);
 }
 
-bool ParsePaddedU64(const std::string& digits, uint64_t* out) {
-  uint64_t v = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return false;
-    const auto digit = static_cast<uint64_t>(c - '0');
-    if (v > (UINT64_MAX - digit) / 10) return false;
-    v = v * 10 + digit;
-  }
-  *out = v;
-  return true;
-}
-
-// Collects the contiguous run of WAL records following `base_step` from
-// the rotation chain in `dir`: records with step_after = base_step + 1,
-// base_step + 2, ... taken across consecutive files. Stops (with a note)
-// at the first gap or unreadable stretch; everything collected is safe
-// to apply in order. Also reports the newest readable WAL file so the
-// resumed run can keep appending to it.
-struct ChainScan {
-  std::vector<WalRecord> records;
-  std::string active_wal;
-  uint64_t active_wal_start = 0;
-  bool tail_truncated = false;
-  bool any_readable = false;
-  std::string notes;
-};
-
-ChainScan ScanWalChain(const std::string& dir, uint64_t base_step) {
-  ChainScan scan;
-  const std::vector<std::string> files = ListWalFiles(dir);
-  // The chain relevant to `base_step` starts at the last file whose
-  // start step is at or below it; earlier files only hold older records.
-  size_t first = 0;
-  for (size_t i = 0; i < files.size(); ++i) {
-    uint64_t start = 0;
-    if (ParseWalStartStep(files[i], &start) && start <= base_step) first = i;
-  }
-  uint64_t expected = base_step + 1;
-  bool chain_broken = false;
-  for (size_t i = first; i < files.size(); ++i) {
-    WalContents contents;
-    std::string file_error;
-    if (!ReadWalFile(files[i], &contents, &file_error)) {
-      Note(&scan.notes, file_error);
-      chain_broken = true;
-      continue;
-    }
-    scan.any_readable = true;
-    scan.active_wal = files[i];
-    scan.active_wal_start = contents.start_step;
-    if (contents.tail_truncated) {
-      scan.tail_truncated = true;
-      Note(&scan.notes, files[i] + ": " + contents.tail_diagnostic);
-    }
-    if (chain_broken) continue;  // still track the append target
-    for (const WalRecord& r : contents.records) {
-      if (r.step_after < expected) continue;  // pre-base or duplicate
-      if (r.step_after != expected) {
-        Note(&scan.notes, files[i] + ": gap before step " +
-                              std::to_string(r.step_after) + " (expected " +
-                              std::to_string(expected) + ")");
-        chain_broken = true;
-        break;
-      }
-      scan.records.push_back(r);
-      ++expected;
-    }
-  }
-  return scan;
+std::string Joined(const std::string& a, const std::string& b) {
+  std::string out = a;
+  if (!b.empty()) Note(&out, b);
+  return out;
 }
 
 }  // namespace
-
-bool ParseCheckpointStep(const std::string& path, uint64_t* step) {
-  const std::string name = std::filesystem::path(path).filename().string();
-  if (name.size() != CheckpointFileName(0).size() ||
-      name.rfind("ckpt-", 0) != 0 ||
-      name.compare(name.size() - 5, 5, ".psky") != 0) {
-    return false;
-  }
-  return ParsePaddedU64(name.substr(5, 20), step);
-}
-
-bool RecoverState(const std::string& dir, RecoveredState* out,
-                  std::string* error) {
-  RecoveredState state;
-  std::string ckpt_error;
-  state.has_checkpoint =
-      LoadLatestCheckpoint(dir, &state.checkpoint, &ckpt_error);
-  if (!state.has_checkpoint) {
-    state.checkpoint = CheckpointState{};
-    if (!ckpt_error.empty()) Note(&state.notes, ckpt_error);
-  } else if (!ckpt_error.empty()) {
-    Note(&state.notes, ckpt_error);  // older corrupt files, warnings only
-  }
-
-  ChainScan scan = ScanWalChain(dir, state.checkpoint.elements_consumed);
-  state.tail = std::move(scan.records);
-  state.active_wal = scan.active_wal;
-  state.active_wal_start = scan.active_wal_start;
-  state.tail_truncated = scan.tail_truncated;
-  if (!scan.notes.empty()) Note(&state.notes, scan.notes);
-
-  if (!state.has_checkpoint && !scan.any_readable) {
-    return Fail(error, state.notes.empty()
-                           ? "nothing to recover in " + dir
-                           : "nothing to recover in " + dir + ": " +
-                                 state.notes);
-  }
-  *out = std::move(state);
-  return true;
-}
 
 bool ParseReplayTarget(const std::string& spec, ReplayTarget* out,
                        std::string* error) {
@@ -143,7 +40,9 @@ bool ParseReplayTarget(const std::string& spec, ReplayTarget* out,
     }
   } else {
     target.kind = ReplayTarget::Kind::kStep;
-    if (!ParsePaddedU64(spec, &target.step) || spec.empty()) {
+    const char* end = spec.data() + spec.size();
+    if (std::from_chars(spec.data(), end, target.step).ptr != end ||
+        spec.empty()) {
       return Fail(error, "bad --replay-at position '" + spec +
                              "' (want a step count or ts:<seconds>)");
     }
@@ -152,79 +51,145 @@ bool ParseReplayTarget(const std::string& spec, ReplayTarget* out,
   return true;
 }
 
-bool PlanReplay(const std::string& dir, const ReplayTarget& target,
-                RecoveredState* out, std::string* error) {
-  RecoveredState state;
-
-  // Newest checkpoint whose state is a prefix of the target sequence.
-  // For a step target that is any checkpoint at or before the step; for
-  // a time target the admitted-timestamp monotonicity (window policies
-  // reject or clamp out-of-order arrivals) makes "newest window element
-  // at or before T" the same prefix condition.
-  const std::vector<std::string> files = ListCheckpointFiles(dir);
-  for (const std::string& path : files) {  // newest first
-    uint64_t step = 0;
-    if (!ParseCheckpointStep(path, &step)) continue;
-    if (target.kind == ReplayTarget::Kind::kStep && step > target.step) {
-      continue;
+ResumeStatus Resume(const std::string& dir, const ResumeOptions& options,
+                    const ResumeSink& sink, ResumeResult* out,
+                    std::string* error) {
+  *out = ResumeResult{};
+  const ReplayTarget* target = options.target;
+  // A checkpoint can seed a replay when its state is a prefix of the
+  // target sequence. For a step target that is any checkpoint at or
+  // before the step; for a time target the admitted-timestamp
+  // monotonicity (window policies reject or clamp out-of-order arrivals)
+  // makes "newest window element at or before T" the same prefix
+  // condition. Reading the newest element takes a pass over the window;
+  // a read that fails here fails again, loudly, below.
+  auto accept = [target](CheckpointFileReader* reader) {
+    if (target == nullptr) return true;
+    if (target->kind == ReplayTarget::Kind::kStep) {
+      return reader->header().elements_consumed <= target->step;
     }
-    CheckpointState candidate;
+    double newest = -std::numeric_limits<double>::infinity();
+    reader->ReadElements(
+        [&newest](const UncertainElement& e) { newest = e.time; }, nullptr);
+    return newest <= target->time;
+  };
+  CheckpointFileReader reader;
+  out->has_checkpoint = OpenLatestCheckpoint(
+      dir, &reader, &out->skipped, &out->skipped_diagnostics, accept);
+  if (out->has_checkpoint) {
+    out->base = reader.header();
+    if (sink.begin && !sink.begin(out->base)) return ResumeStatus::kRefused;
+    if (!reader.ReadElements(
+            [&](const UncertainElement& e) {
+              ++out->window_elements;
+              if (sink.element) sink.element(e);
+            },
+            error)) {
+      return ResumeStatus::kFailed;
+    }
+  } else if (!options.wal) {
+    Fail(error, out->skipped_diagnostics.empty()
+                    ? "no checkpoint files in " + dir
+                    : out->skipped_diagnostics);
+    return ResumeStatus::kFailed;
+  } else if (target == nullptr && out->skipped.empty()) {
+    Note(&out->notes, "no checkpoint files in " + dir);
+  }
+  out->step = out->base.elements_consumed;
+  if (!options.wal) return ResumeStatus::kOk;
+
+  // The contiguous run of WAL records following the checkpoint: records
+  // with step_after = step + 1, step + 2, ... taken across consecutive
+  // files of the rotation chain, each file's records applied as it
+  // decodes. The chain starts at the last file whose start step is at or
+  // below the checkpoint; earlier files only hold older records. The
+  // first gap or unreadable file ends the tail (with a note); later files
+  // are still read to find the append target.
+  const std::vector<std::string> files = ListWalFiles(dir);
+  size_t first = 0;
+  for (size_t i = 0; i < files.size(); ++i) {
+    uint64_t start = 0;
+    if (ParseWalStartStep(files[i], &start) && start <= out->step) first = i;
+  }
+  bool any_readable = false;
+  bool chain_ended = false;
+  for (size_t i = first; i < files.size(); ++i) {
+    WalContents contents;
     std::string file_error;
-    if (!ReadCheckpointFile(path, &candidate, &file_error)) {
-      Note(&state.notes, file_error);
+    if (!ReadWalFile(files[i], &contents, &file_error)) {
+      Note(&out->notes, file_error);
+      chain_ended = true;
       continue;
     }
-    if (target.kind == ReplayTarget::Kind::kTime &&
-        !candidate.window.empty() &&
-        candidate.window.back().time > target.time) {
-      continue;
+    any_readable = true;
+    out->active_wal = files[i];
+    if (contents.tail_truncated) {
+      out->tail_truncated = true;
+      Note(&out->notes, files[i] + ": " + contents.tail_diagnostic);
     }
-    state.checkpoint = std::move(candidate);
-    state.has_checkpoint = true;
-    break;
+    for (size_t k = 0; !chain_ended && k < contents.records.size(); ++k) {
+      const WalRecord& r = contents.records[k];
+      if (r.step_after <= out->step) continue;  // pre-base or duplicate
+      if (r.step_after != out->step + 1) {
+        Note(&out->notes, files[i] + ": gap before step " +
+                              std::to_string(r.step_after) + " (expected " +
+                              std::to_string(out->step + 1) + ")");
+        chain_ended = true;
+      } else if (target != nullptr &&
+                 (target->kind == ReplayTarget::Kind::kStep
+                      ? r.step_after > target->step
+                      : r.element.time > target->time)) {
+        chain_ended = true;
+      } else {
+        if (sink.record && !sink.record(r)) return ResumeStatus::kRefused;
+        out->step = r.step_after;
+        out->tip = r;
+        ++out->tail_records;
+      }
+    }
   }
+  if (!out->has_checkpoint && !any_readable) {
+    const std::string why = Joined(out->skipped_diagnostics, out->notes);
+    Fail(error, (target != nullptr ? "nothing to replay in "
+                                   : "nothing to recover in ") +
+                    dir + (why.empty() ? "" : ": " + why));
+    return ResumeStatus::kFailed;
+  }
+  if (target != nullptr && target->kind == ReplayTarget::Kind::kStep &&
+      out->step != target->step) {
+    Fail(error, "replay target " + std::to_string(target->step) +
+                    " is beyond retained WAL coverage (have steps up to " +
+                    std::to_string(out->step) + ")");
+    return ResumeStatus::kFailed;
+  }
+  return ResumeStatus::kOk;
+}
 
-  const uint64_t base_step =
-      state.has_checkpoint ? state.checkpoint.elements_consumed : 0;
-  ChainScan scan = ScanWalChain(dir, base_step);
-  if (!scan.notes.empty()) Note(&state.notes, scan.notes);
-  state.tail_truncated = scan.tail_truncated;
-  state.active_wal = scan.active_wal;
-  state.active_wal_start = scan.active_wal_start;
-
-  if (target.kind == ReplayTarget::Kind::kStep) {
-    if (base_step > target.step) {
-      return Fail(error, "replay target " + std::to_string(target.step) +
-                             " predates the oldest retained checkpoint");
-    }
-    const uint64_t need = target.step - base_step;
-    if (scan.records.size() < need) {
-      return Fail(error,
-                  "replay target " + std::to_string(target.step) +
-                      " is beyond retained WAL coverage (have steps up to " +
-                      std::to_string(base_step + scan.records.size()) + ")");
-    }
-    scan.records.resize(need);
-  } else {
-    size_t keep = 0;
-    while (keep < scan.records.size() &&
-           scan.records[keep].element.time <= target.time) {
-      ++keep;
-    }
-    scan.records.resize(keep);
+bool RecoverState(const std::string& dir, RecoveredState* out,
+                  std::string* error) {
+  RecoveredState state;
+  ResumeSink sink;
+  sink.begin = [&state](const CheckpointState& header) {
+    state.checkpoint = header;
+    return true;
+  };
+  sink.element = [&state](const UncertainElement& e) {
+    state.checkpoint.window.push_back(e);
+  };
+  sink.record = [&state](const WalRecord& r) {
+    state.tail.push_back(r);
+    return true;
+  };
+  ResumeOptions options;
+  options.wal = true;
+  ResumeResult result;
+  if (Resume(dir, options, sink, &result, error) != ResumeStatus::kOk) {
+    return false;
   }
-  if (!state.has_checkpoint) {
-    // With no checkpoint base the WAL must cover the stream from the
-    // start; ScanWalChain already enforced contiguity from step 1.
-    if (!scan.records.empty() && scan.records.front().step_after != 1) {
-      return Fail(error, "replay target predates retained WAL history");
-    }
-    if (scan.records.empty() && !scan.any_readable) {
-      return Fail(error, "nothing to replay in " + dir +
-                             (state.notes.empty() ? "" : ": " + state.notes));
-    }
-  }
-  state.tail = std::move(scan.records);
+  state.has_checkpoint = result.has_checkpoint;
+  state.active_wal = result.active_wal;
+  state.tail_truncated = result.tail_truncated;
+  state.notes = Joined(result.skipped_diagnostics, result.notes);
   *out = std::move(state);
   return true;
 }

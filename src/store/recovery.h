@@ -12,16 +12,19 @@
 // last surviving record's position stamps, so the final output is still
 // bit-identical.
 //
-// Historical replay answers "what was the q-skyline at position P (or
-// time T)?" as a first-class query: pick the newest retained checkpoint
-// at or before the target, replay WAL records up to it, and hand the
-// caller the exact element sequence — the audit oracle re-derives the
-// same state independently as the correctness check.
+// One routine, Resume(), serves every consumer: it picks the newest
+// checkpoint that validates, hands the caller its configuration before any
+// element flows, then streams the window and the contiguous WAL tail into
+// the caller's sink — holding one checkpoint decode batch plus one WAL
+// file, never the window or the whole tail. Given a target it answers a
+// historical query ("the q-skyline at position P, or time T") the same
+// way, from the newest checkpoint at or before the target.
 
 #ifndef PSKY_STORE_RECOVERY_H_
 #define PSKY_STORE_RECOVERY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,42 +32,6 @@
 #include "store/wal.h"
 
 namespace psky {
-
-/// Everything needed to resume (or rebuild) a pipeline: a base snapshot
-/// plus the WAL records to replay on top of it, in stream order.
-struct RecoveredState {
-  /// Base snapshot. When has_checkpoint is false no valid checkpoint
-  /// existed and `checkpoint` is a default state (recovery starts from
-  /// an empty window at step 0; the caller supplies the configuration).
-  CheckpointState checkpoint;
-  bool has_checkpoint = false;
-
-  /// WAL records with step_after > checkpoint.elements_consumed,
-  /// contiguous and in stream order.
-  std::vector<WalRecord> tail;
-
-  /// Newest WAL file (the append target for the resumed run); empty when
-  /// none exists or the newest one is unreadable.
-  std::string active_wal;
-  uint64_t active_wal_start = 0;
-
-  /// True when any WAL file in the chain had a torn tail (the torn bytes
-  /// are ignored here; WalWriter::OpenForAppend repairs them on disk).
-  bool tail_truncated = false;
-
-  /// Human-readable notes: skipped corrupt files, truncation reasons,
-  /// coverage gaps. Never fatal by itself.
-  std::string notes;
-};
-
-/// Loads the newest valid checkpoint in `dir` and collects the WAL
-/// records that extend it. Returns false only when `dir` holds neither a
-/// valid checkpoint nor a readable WAL (nothing to recover from);
-/// `*error` then explains why. A missing checkpoint with usable WAL
-/// records (crash before the first checkpoint) succeeds with
-/// has_checkpoint = false.
-bool RecoverState(const std::string& dir, RecoveredState* out,
-                  std::string* error);
 
 /// A historical replay target: a stream position (elements consumed) or
 /// a stream timestamp.
@@ -80,16 +47,80 @@ struct ReplayTarget {
 bool ParseReplayTarget(const std::string& spec, ReplayTarget* out,
                        std::string* error);
 
-/// Plans a historical replay: picks the newest retained checkpoint at or
-/// before `target` and the WAL records from there up to (and including)
-/// it. Fails when the target predates retained history (base coverage
-/// gap) or lies beyond the end of the log.
-bool PlanReplay(const std::string& dir, const ReplayTarget& target,
-                RecoveredState* out, std::string* error);
+struct ResumeOptions {
+  /// Also stream the WAL records past the checkpoint (from step 1 when no
+  /// checkpoint validates; the WAL alone then suffices).
+  bool wal = false;
+  /// Historical replay: use the newest checkpoint at or before the target
+  /// and stop the WAL tail at it. Null resumes at the end of the log.
+  const ReplayTarget* target = nullptr;
+};
 
-/// Recovers the step count a CheckpointFileName-style path encodes.
-/// Returns false for unrelated names.
-bool ParseCheckpointStep(const std::string& path, uint64_t* step);
+/// Where a resume streams to. Every callback is optional.
+struct ResumeSink {
+  /// The chosen checkpoint's configuration and position (window empty),
+  /// before any of its elements. Returning false refuses the resume.
+  std::function<bool(const CheckpointState&)> begin;
+  /// The checkpointed window, oldest first.
+  CheckpointElementSink element;
+  /// WAL records past the checkpoint, in stream order. Returning false
+  /// refuses the resume.
+  std::function<bool(const WalRecord&)> record;
+};
+
+/// What a resume found and applied.
+struct ResumeResult {
+  /// False when no checkpoint qualified (a WAL-only recovery).
+  bool has_checkpoint = false;
+  /// The checkpoint's configuration and position (window empty).
+  CheckpointState base;
+  uint64_t window_elements = 0;  ///< elements the checkpoint delivered
+  /// Checkpoint files passed over as corrupt, newest first, and their
+  /// "<path>: <reason>" diagnostics ("; "-separated).
+  std::vector<std::string> skipped;
+  std::string skipped_diagnostics;
+  uint64_t tail_records = 0;  ///< WAL records delivered
+  WalRecord tip;              ///< the last of them (when tail_records > 0)
+  uint64_t step = 0;          ///< stream position reached
+  /// Newest readable WAL file (the append target for the resumed run).
+  std::string active_wal;
+  /// True when a WAL file had a torn tail (WalWriter::OpenForAppend
+  /// repairs it on disk; the torn bytes are ignored here).
+  bool tail_truncated = false;
+  /// WAL notes: truncation reasons, coverage gaps. Never fatal by itself.
+  std::string notes;
+};
+
+enum class ResumeStatus {
+  kOk,
+  kRefused,  ///< a sink callback returned false
+  kFailed,   ///< nothing to resume from, an unreadable chosen checkpoint,
+             ///< or a replay target outside the retained history
+};
+
+/// Streams the newest valid checkpoint in `dir` (and, with options.wal,
+/// the contiguous WAL tail) into `sink`. Reads only: corrupt files are
+/// reported in `*out`, never moved. `*error` explains kFailed.
+ResumeStatus Resume(const std::string& dir, const ResumeOptions& options,
+                    const ResumeSink& sink, ResumeResult* out,
+                    std::string* error);
+
+/// A materialized resume, for callers that hold the window as a vector:
+/// the base snapshot (default when has_checkpoint is false) plus the WAL
+/// tail, as ResumeResult describes them. Prefer Resume().
+struct RecoveredState {
+  CheckpointState checkpoint;
+  bool has_checkpoint = false;
+  std::vector<WalRecord> tail;
+  std::string active_wal;
+  bool tail_truncated = false;
+  std::string notes;  ///< skipped checkpoints and WAL notes
+};
+
+/// Resume() with the WAL into a RecoveredState. Returns false only when
+/// `dir` holds neither a valid checkpoint nor a readable WAL.
+bool RecoverState(const std::string& dir, RecoveredState* out,
+                  std::string* error);
 
 }  // namespace psky
 

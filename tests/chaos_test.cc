@@ -249,6 +249,17 @@ CheckpointState SmallState() {
   return state;
 }
 
+// Retried streamed write of `state`'s window: each attempt reads the
+// vector afresh.
+bool WriteRetry(const std::string& path, const CheckpointState& state,
+                const RetryPolicy& policy, RetryStats* stats,
+                std::string* error) {
+  return WriteCheckpointFileStreamedRetry(
+      path, state, state.window.size(),
+      [&state] { return IndexedSource(&state.window); },
+      policy, stats, error);
+}
+
 RetryPolicy FastRetry(int attempts) {
   RetryPolicy policy;
   policy.max_attempts = attempts;
@@ -287,8 +298,7 @@ TEST_F(ChaosIoTest, CheckpointSurvivesTransientFsyncAndRenameFailures) {
   const CheckpointState state = SmallState();
   RetryStats stats;
   std::string error;
-  ASSERT_TRUE(WriteCheckpointFileRetry(Path("ck.psky"), state, FastRetry(4),
-                                       &stats, &error))
+  ASSERT_TRUE(WriteRetry(Path("ck.psky"), state, FastRetry(4), &stats, &error))
       << error;
   EXPECT_EQ(stats.retries, 2u);  // one fsync hit, one rename hit
   // The file on disk is complete and loadable.
@@ -308,8 +318,8 @@ TEST_F(ChaosIoTest, CheckpointErrnoIsReportedAndBudgetExhaustionFails) {
   EXPECT_EQ(err, EIO);
   EXPECT_NE(error.find("injected"), std::string::npos);
   // Every retry re-hits the open range: the budget runs out.
-  EXPECT_FALSE(WriteCheckpointFileRetry(Path("ck.psky"), SmallState(),
-                                        FastRetry(3), &stats, &error));
+  EXPECT_FALSE(
+      WriteRetry(Path("ck.psky"), SmallState(), FastRetry(3), &stats, &error));
   EXPECT_EQ(stats.exhausted, 1u);
   // No half-written checkpoint left in place.
   EXPECT_FALSE(fs::exists(Path("ck.psky")));
@@ -422,8 +432,8 @@ TEST_F(ChaosIoTest, PipelineUnderChaosMatchesCleanRunExactly) {
           state.next_seq = processed;
           RetryStats stats;
           std::string error;
-          EXPECT_TRUE(WriteCheckpointFileRetry(Path("chaos_ck.psky"), state,
-                                               FastRetry(4), &stats, &error))
+          EXPECT_TRUE(WriteRetry(Path("chaos_ck.psky"), state, FastRetry(4),
+                                 &stats, &error))
               << error;
           ++checkpoints;
         }

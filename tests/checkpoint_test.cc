@@ -407,14 +407,15 @@ TEST(CheckpointStreamed, ReadRoundTripsWithoutMaterializing) {
   const std::string path = dir + "/" + CheckpointFileName(1);
   ASSERT_TRUE(WriteCheckpointFile(path, state, &error)) << error;
 
-  CheckpointState header;
+  CheckpointFileReader reader;
+  ASSERT_TRUE(reader.Open(path, &error)) << error;
+  EXPECT_TRUE(reader.header().window.empty());
+  EXPECT_EQ(reader.window_count(), state.window.size());
   std::vector<UncertainElement> collected;
-  ASSERT_TRUE(ReadCheckpointFileStreamed(
-      path, &header,
+  ASSERT_TRUE(reader.ReadElements(
       [&](const UncertainElement& e) { collected.push_back(e); }, &error))
       << error;
-  EXPECT_TRUE(header.window.empty());
-  CheckpointState got = header;
+  CheckpointState got = reader.header();
   got.window = std::move(collected);
   ExpectStatesEqual(state, got);
   fs::remove_all(dir);
@@ -442,12 +443,13 @@ TEST(CheckpointStreamed, CorruptionDeliversNothingToTheSink) {
     f.seekp(static_cast<std::streamoff>(size - 9));
     f.write(&byte, 1);
   }
-  CheckpointState header;
-  size_t delivered = 0;
-  EXPECT_FALSE(ReadCheckpointFileStreamed(
-      path, &header, [&](const UncertainElement&) { ++delivered; }, &error));
-  EXPECT_EQ(delivered, 0u) << "sink ran before CRC validation";
+  CheckpointFileReader reader;
+  EXPECT_FALSE(reader.Open(path, &error));
   EXPECT_NE(error.find("CRC"), std::string::npos) << error;
+  size_t delivered = 0;
+  EXPECT_FALSE(reader.ReadElements(
+      [&](const UncertainElement&) { ++delivered; }, &error));
+  EXPECT_EQ(delivered, 0u) << "sink ran before CRC validation";
   fs::remove_all(dir);
 }
 

@@ -1,7 +1,8 @@
 // Recovery and historical replay: checkpoint + WAL tail reconstruction
 // equals a continuously-run operator, crash-before-first-checkpoint
-// recovery, replay-target parsing and planning (position and timestamp
-// targets), and the retention error paths.
+// recovery, replay-target parsing and replays to position and timestamp
+// targets, the retention error paths, refusal before any element flows,
+// and fallback past a corrupt checkpoint.
 
 #include <filesystem>
 #include <string>
@@ -194,6 +195,28 @@ TEST(ReplayTargetTest, ParsesPositionsAndTimestamps) {
   EXPECT_FALSE(ParseReplayTarget("ts:abc", &t, &error));
 }
 
+// Replays `dir` up to `target` through Resume() the way psky_stream
+// --replay-at does, into `op` and `window`.
+ResumeStatus ReplayTo(const std::string& dir, const ReplayTarget& target,
+                      SskyOperator* op, CountWindow* window,
+                      ResumeResult* result, std::string* error) {
+  ResumeSink sink;
+  sink.element = [&](const UncertainElement& e) {
+    window->Push(e);
+    op->Insert(e);
+  };
+  sink.record = [&](const WalRecord& r) {
+    if (window->full()) op->Expire(window->PushRotate(r.element));
+    else window->Push(r.element);
+    op->Insert(r.element);
+    return true;
+  };
+  ResumeOptions options;
+  options.wal = true;
+  options.target = &target;
+  return Resume(dir, options, sink, result, error);
+}
+
 TEST(PlanReplayTest, PositionTargetMatchesFreshRunAndOracle) {
   const std::string dir = TempDir("plan_pos");
   const std::vector<UncertainElement> stream = MakeStream(300, 21);
@@ -203,16 +226,16 @@ TEST(PlanReplayTest, PositionTargetMatchesFreshRunAndOracle) {
     ReplayTarget target;
     target.kind = ReplayTarget::Kind::kStep;
     target.step = target_step;
-    RecoveredState plan;
-    std::string error;
-    ASSERT_TRUE(PlanReplay(dir, target, &plan, &error)) << error;
-    EXPECT_EQ(plan.checkpoint.elements_consumed +
-                  static_cast<uint64_t>(plan.tail.size()),
-              target_step);
-
     SskyOperator replayed(kDims, kQ);
     CountWindow window(kCapacity);
-    Rebuild(plan, &replayed, &window);
+    ResumeResult result;
+    std::string error;
+    ASSERT_EQ(ReplayTo(dir, target, &replayed, &window, &result, &error),
+              ResumeStatus::kOk)
+        << error;
+    EXPECT_EQ(result.base.elements_consumed + result.tail_records,
+              target_step);
+    EXPECT_EQ(result.step, target_step);
 
     // Fresh-run equivalence.
     SskyOperator fresh(kDims, kQ);
@@ -250,13 +273,15 @@ TEST(PlanReplayTest, TimestampTargetStopsAtTheRightRecord) {
   ReplayTarget target;
   std::string error;
   ASSERT_TRUE(ParseReplayTarget("ts:150.5", &target, &error)) << error;
-  RecoveredState plan;
-  ASSERT_TRUE(PlanReplay(dir, target, &plan, &error)) << error;
-  ASSERT_FALSE(plan.tail.empty());
-  EXPECT_EQ(plan.checkpoint.elements_consumed +
-                static_cast<uint64_t>(plan.tail.size()),
-            150u);
-  EXPECT_LE(plan.tail.back().element.time, 150.5);
+  SskyOperator op(kDims, kQ);
+  CountWindow window(kCapacity);
+  ResumeResult result;
+  ASSERT_EQ(ReplayTo(dir, target, &op, &window, &result, &error),
+            ResumeStatus::kOk)
+      << error;
+  ASSERT_GT(result.tail_records, 0u);
+  EXPECT_EQ(result.base.elements_consumed + result.tail_records, 150u);
+  EXPECT_LE(result.tip.element.time, 150.5);
 }
 
 TEST(PlanReplayTest, RejectsTargetsOutsideRetention) {
@@ -267,21 +292,97 @@ TEST(PlanReplayTest, RejectsTargetsOutsideRetention) {
   PruneCheckpoints(dir, 1);
   PruneWalFiles(dir, 240);
 
-  ReplayTarget target;
-  target.kind = ReplayTarget::Kind::kStep;
-  RecoveredState plan;
+  auto replay = [&](uint64_t step, std::string* error) {
+    ReplayTarget target;
+    target.kind = ReplayTarget::Kind::kStep;
+    target.step = step;
+    SskyOperator op(kDims, kQ);
+    CountWindow window(kCapacity);
+    ResumeResult result;
+    return ReplayTo(dir, target, &op, &window, &result, error);
+  };
   std::string error;
-
-  target.step = 100;  // predates the oldest retained checkpoint
-  EXPECT_FALSE(PlanReplay(dir, target, &plan, &error));
+  // Predates the oldest retained checkpoint.
+  EXPECT_EQ(replay(100, &error), ResumeStatus::kFailed);
   EXPECT_FALSE(error.empty());
-
-  target.step = 10000;  // beyond the end of the log
-  EXPECT_FALSE(PlanReplay(dir, target, &plan, &error));
+  // Beyond the end of the log.
+  EXPECT_EQ(replay(10000, &error), ResumeStatus::kFailed);
   EXPECT_FALSE(error.empty());
+  // Inside retention still works.
+  EXPECT_EQ(replay(270, &error), ResumeStatus::kOk) << error;
+}
 
-  target.step = 270;  // inside retention still works
-  EXPECT_TRUE(PlanReplay(dir, target, &plan, &error)) << error;
+// The configuration reaches the caller before any element: a refusal
+// there delivers nothing.
+TEST(ResumeTest, RefusedCheckpointDeliversNothing) {
+  const std::string dir = TempDir("refuse");
+  const std::vector<UncertainElement> stream = MakeStream(300, 5);
+  RunDurablePrefix(dir, stream, 300, 120);
+  size_t delivered = 0;
+  ResumeSink sink;
+  sink.begin = [](const CheckpointState& header) {
+    return header.dims != kDims;  // refuse this configuration
+  };
+  sink.element = [&](const UncertainElement&) { ++delivered; };
+  sink.record = [&](const WalRecord&) {
+    ++delivered;
+    return true;
+  };
+  ResumeOptions options;
+  options.wal = true;
+  ResumeResult result;
+  std::string error;
+  EXPECT_EQ(Resume(dir, options, sink, &result, &error),
+            ResumeStatus::kRefused);
+  EXPECT_EQ(delivered, 0u);
+}
+
+// A corrupt newest checkpoint is passed over and reported, but the
+// library only reads: the file stays where it was.
+TEST(ResumeTest, CorruptNewestFallsBackAndIsLeftInPlace) {
+  const std::string dir = TempDir("corrupt");
+  const std::vector<UncertainElement> stream = MakeStream(300, 6);
+  RunDurablePrefix(dir, stream, 300, 120);  // checkpoints at 120, 240
+  const std::string newest = dir + "/" + CheckpointFileName(240);
+  fs::resize_file(newest, fs::file_size(newest) - 3);
+
+  SskyOperator op(kDims, kQ);
+  CountWindow window(kCapacity);
+  ResumeSink sink;
+  sink.element = [&](const UncertainElement& e) {
+    window.Push(e);
+    op.Insert(e);
+  };
+  sink.record = [&](const WalRecord& r) {
+    if (window.full()) op.Expire(window.PushRotate(r.element));
+    else window.Push(r.element);
+    op.Insert(r.element);
+    return true;
+  };
+  ResumeOptions options;
+  options.wal = true;
+  ResumeResult result;
+  std::string error;
+  ASSERT_EQ(Resume(dir, options, sink, &result, &error), ResumeStatus::kOk)
+      << error;
+  EXPECT_EQ(result.base.elements_consumed, 120u);
+  EXPECT_EQ(result.step, 300u);
+  ASSERT_EQ(result.skipped.size(), 1u);
+  EXPECT_EQ(result.skipped[0], newest);
+  EXPECT_NE(result.skipped_diagnostics.find(newest), std::string::npos);
+  EXPECT_TRUE(fs::exists(newest));
+
+  SskyOperator continuous(kDims, kQ);
+  CountWindow continuous_window(kCapacity);
+  for (const auto& e : stream) {
+    if (continuous_window.full()) {
+      continuous.Expire(continuous_window.PushRotate(e));
+    } else {
+      continuous_window.Push(e);
+    }
+    continuous.Insert(e);
+  }
+  ExpectSkylinesEqual(continuous, op);
 }
 
 TEST(ParseCheckpointStepTest, AcceptsOnlyCanonicalNames) {

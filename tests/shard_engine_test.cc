@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -210,7 +209,7 @@ TEST(ShardEquivalence, ResumeSequentialCheckpointIntoShardedRun) {
 
   // Restored sharded engine vs. the uninterrupted sequential run.
   ShardEngine engine(CountOptions(4));
-  engine.Restore(std::span<const UncertainElement>(snapshot));
+  for (const UncertainElement& e : snapshot) engine.Restore(e);
   ExpectWindowsIdentical(snapshot, engine.WindowSnapshot());
   for (size_t i = cut; i < stream.size(); ++i) {
     warm.Step(stream[i]);
@@ -249,7 +248,7 @@ TEST(ShardEquivalence, ShardedCheckpointRestoresIntoSequentialRun) {
   StreamProcessor resumed(&resumed_op, kWindow);
   for (const UncertainElement& e : snapshot) resumed.Step(e);
   ShardEngine resumed_engine(CountOptions(5));
-  resumed_engine.Restore(std::span<const UncertainElement>(snapshot));
+  for (const UncertainElement& e : snapshot) resumed_engine.Restore(e);
   for (size_t i = cut; i < stream.size(); ++i) {
     resumed.Step(stream[i]);
     ASSERT_TRUE(resumed_engine.Route(stream[i]));
@@ -275,7 +274,7 @@ TEST(ShardEquivalence, ResumeWithDifferentShardCountAndTimeWindow) {
 
   opts.shards = 4;
   ShardEngine second(opts);
-  second.Restore(std::span<const UncertainElement>(snapshot));
+  for (const UncertainElement& e : snapshot) second.Restore(e);
 
   SskyOperator seq_op(kDims, kQ);
   TimeWindow seq_win(span);

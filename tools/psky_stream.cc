@@ -678,6 +678,194 @@ void PrintSkylineMembers(const std::vector<psky::SkylineMember>& members,
   }
 }
 
+// Where a run windows its elements: the sharded engine (its router owns
+// windowing, expiry and insert), or the sequential operator plus exactly
+// one window. The live stream, a resume's checkpoint and WAL replay, and
+// historical replay all feed elements through here.
+struct Pipeline {
+  psky::SskyOperator* op = nullptr;
+  psky::ShardEngine* engine = nullptr;
+  psky::CountWindow* count_window = nullptr;
+  psky::TimeWindow* time_window = nullptr;
+  psky::StoredCountWindow* disk_window = nullptr;
+
+  // Admission: a time window applies --ooo-policy (clamping `*e` or
+  // rejecting it: false) and collects what the arrival expires; the
+  // engine routes `*e` in full. Count windows admit everything.
+  bool Admit(psky::UncertainElement* e,
+             std::vector<psky::UncertainElement>* expired) const {
+    expired->clear();
+    if (engine != nullptr) return engine->Route(*e, e);
+    return time_window == nullptr || time_window->TryPush(e, expired);
+  }
+  // The expire-before-insert cycle for an admitted element.
+  void Apply(const psky::UncertainElement& e,
+             const std::vector<psky::UncertainElement>& expired) const {
+    if (engine != nullptr) return;
+    for (const auto& old : expired) op->Expire(old);
+    if (disk_window != nullptr) {
+      if (disk_window->full()) {
+        op->Expire(disk_window->PushRotate(e));
+      } else {
+        disk_window->Push(e);
+      }
+    } else if (count_window != nullptr) {
+      if (count_window->full()) {
+        op->Expire(count_window->PushRotate(e));
+      } else {
+        count_window->Push(e);
+      }
+    }
+    op->Insert(e);
+  }
+  // Re-inserts one checkpointed window element (oldest first). The
+  // operator state is a function of the window contents, so this rebuilds
+  // it exactly; checkpoints are shard-count-agnostic (the merged window is
+  // byte-identical to a sequential one).
+  void Restore(const psky::UncertainElement& e) const {
+    if (engine != nullptr) {
+      engine->Restore(e);
+      return;
+    }
+    if (time_window != nullptr) {
+      time_window->Push(e, nullptr);
+    } else if (disk_window != nullptr) {
+      disk_window->Push(e);
+    } else {
+      count_window->Push(e);
+    }
+    op->Insert(e);
+  }
+  uint64_t size() const {
+    return engine != nullptr        ? engine->window_size()
+           : time_window != nullptr ? time_window->size()
+           : disk_window != nullptr ? disk_window->size()
+                                    : count_window->size();
+  }
+  // The window in place, oldest first; a fresh source per call (a cursor
+  // cannot be rewound).
+  psky::CheckpointElementSource Source() const {
+    if (engine != nullptr) {
+      auto cur = std::make_shared<psky::ShardEngine::WindowCursor>(
+          engine->NewWindowCursor());
+      return [cur](psky::UncertainElement* e) { return cur->Next(e); };
+    }
+    if (disk_window != nullptr) {
+      auto cur = std::make_shared<psky::SegmentStore::Cursor>(
+          disk_window->NewCursor());
+      return [cur](psky::UncertainElement* e) { return cur->Next(e); };
+    }
+    if (time_window != nullptr) return psky::IndexedSource(time_window);
+    return psky::IndexedSource(count_window);
+  }
+  // The auditor reads the live window in place, whatever holds it.
+  // Sharded runs audit per shard inside the engine: theirs is empty.
+  psky::AuditManager::WindowView AuditView() const {
+    if (disk_window != nullptr) {
+      const psky::StoredCountWindow* dw = disk_window;
+      return {[dw] { return static_cast<uint64_t>(dw->size()); },
+              [dw](uint64_t i) { return dw->At(static_cast<size_t>(i)); },
+              [dw](uint64_t start, const psky::AuditManager::Visitor& visit) {
+                psky::SegmentStore::Cursor cur = dw->NewCursor(start);
+                psky::UncertainElement e;
+                while (cur.Next(&e) && visit(e)) {
+                }
+              }};
+    }
+    if (time_window != nullptr) {
+      return psky::AuditManager::IndexedView(time_window);
+    }
+    if (count_window != nullptr) {
+      return psky::AuditManager::IndexedView(count_window);
+    }
+    static const std::vector<psky::UncertainElement> kNoWindow;
+    return psky::AuditManager::IndexedView(&kNoWindow);
+  }
+  // A copy of the window: the quarantine dump and drift injection only.
+  std::vector<psky::UncertainElement> Snapshot() const {
+    return engine != nullptr        ? engine->WindowSnapshot()
+           : time_window != nullptr ? time_window->Snapshot()
+           : disk_window != nullptr ? disk_window->Snapshot()
+                                    : count_window->Snapshot();
+  }
+  // Out-of-order rejections under --ooo-policy reject, and the watermark
+  // they were behind, whichever side owns the time window.
+  uint64_t rejected() const {
+    return time_window != nullptr ? time_window->rejected()
+           : engine != nullptr    ? engine->rejected()
+                                  : 0;
+  }
+  double watermark() const {
+    return engine != nullptr ? engine->watermark() : time_window->watermark();
+  }
+};
+
+// The one resume path, for --resume and --replay-at alike: streams the
+// newest valid checkpoint, then (with --wal, or up to a replay target) the
+// WAL tail into `p`, one element at a time — the window is never
+// materialized. A checkpoint taken with another configuration is refused
+// before any element flows. Returns -1 to go on, or an exit code.
+int StreamResume(const Args& args, const psky::ReplayTarget* target,
+                 const Pipeline& p, psky::ResumeResult* result) {
+  psky::ResumeSink sink;
+  sink.begin = [&args](const psky::CheckpointState& c) {
+    const bool timed = args.time_span > 0.0;
+    if (c.dims != args.dims || c.q != args.q ||
+        c.window_kind != (timed ? psky::WindowKind::kTime
+                                : psky::WindowKind::kCount) ||
+        (timed ? c.time_span != args.time_span
+               : c.window_capacity != args.window)) {
+      std::fprintf(stderr,
+                   "error: checkpoint was taken with a different "
+                   "dims/q/window configuration\n");
+      return false;
+    }
+    return true;
+  };
+  sink.element = [&p](const psky::UncertainElement& e) { p.Restore(e); };
+  // The WAL holds only admitted elements with already-clamped timestamps,
+  // so neither the router nor a time window can reject them.
+  std::vector<psky::UncertainElement> expired;
+  sink.record = [&](const psky::WalRecord& r) {
+    psky::UncertainElement e = r.element;
+    if (e.pos.dims() != args.dims) {
+      std::fprintf(stderr, "error: WAL records carry %d dims, --dims is %d\n",
+                   e.pos.dims(), args.dims);
+      return false;
+    }
+    PSKY_CHECK_MSG(p.Admit(&e, &expired),
+                   "WAL replay: admitted element rejected");
+    p.Apply(e, expired);
+    return true;
+  };
+  psky::ResumeOptions options;
+  options.wal = args.wal || target != nullptr;
+  options.target = target;
+  std::string error;
+  switch (psky::Resume(args.checkpoint_dir, options, sink, result, &error)) {
+    case psky::ResumeStatus::kOk:
+      break;
+    case psky::ResumeStatus::kRefused:
+      return 1;
+    case psky::ResumeStatus::kFailed:
+      if (target != nullptr) {
+        std::fprintf(stderr, "error: --replay-at: %s\n", error.c_str());
+      } else {
+        std::fprintf(stderr, "error: cannot resume from %s: %s\n",
+                     args.checkpoint_dir.c_str(), error.c_str());
+      }
+      return 3;
+  }
+  if (!result->skipped.empty()) {
+    std::fprintf(stderr, "warning: skipped corrupt checkpoint(s): %s\n",
+                 result->skipped_diagnostics.c_str());
+  }
+  if (!result->notes.empty()) {
+    std::fprintf(stderr, "warning: recovery: %s\n", result->notes.c_str());
+  }
+  return -1;
+}
+
 // --- historical replay (--replay-at) -------------------------------------
 // Rebuilds the exact window state at a past stream position (or time)
 // from the newest covering checkpoint plus WAL records, prints the
@@ -692,38 +880,6 @@ int RunReplayAt(const Args& args) {
   if (!psky::ParseReplayTarget(args.replay_at, &target, &error)) {
     Usage(error.c_str());
   }
-  psky::RecoveredState plan;
-  if (!psky::PlanReplay(args.checkpoint_dir, target, &plan, &error)) {
-    std::fprintf(stderr, "error: --replay-at: %s\n", error.c_str());
-    return 3;
-  }
-  if (!plan.notes.empty()) {
-    std::fprintf(stderr, "warning: replay: %s\n", plan.notes.c_str());
-  }
-
-  const psky::WindowKind want_kind = args.time_span > 0.0
-                                         ? psky::WindowKind::kTime
-                                         : psky::WindowKind::kCount;
-  if (plan.has_checkpoint) {
-    const psky::CheckpointState& c = plan.checkpoint;
-    if (c.dims != args.dims || c.q != args.q ||
-        c.window_kind != want_kind ||
-        (want_kind == psky::WindowKind::kCount &&
-         c.window_capacity != args.window) ||
-        (want_kind == psky::WindowKind::kTime &&
-         c.time_span != args.time_span)) {
-      std::fprintf(stderr,
-                   "error: checkpoint was taken with a different "
-                   "dims/q/window configuration\n");
-      return 1;
-    }
-  } else if (!plan.tail.empty() &&
-             plan.tail.front().element.pos.dims() != args.dims) {
-    std::fprintf(stderr, "error: WAL records carry %d dims, --dims is %d\n",
-                 plan.tail.front().element.pos.dims(), args.dims);
-    return 1;
-  }
-
   psky::SskyOperator op(args.dims, args.q, psky::SkyTree::Options());
   std::unique_ptr<psky::CountWindow> count_window;
   std::unique_ptr<psky::TimeWindow> time_window;
@@ -733,47 +889,18 @@ int RunReplayAt(const Args& args) {
   } else {
     count_window = std::make_unique<psky::CountWindow>(args.window);
   }
+  const Pipeline pipeline{&op, nullptr, count_window.get(), time_window.get(),
+                          nullptr};
+  psky::ResumeResult replayed;
+  const int code = StreamResume(args, &target, pipeline, &replayed);
+  if (code >= 0) return code;
 
-  uint64_t step = 0;
-  if (plan.has_checkpoint) {
-    psky::ReplayWindow(plan.checkpoint, &op);
-    for (const auto& e : plan.checkpoint.window) {
-      if (time_window != nullptr) {
-        time_window->Push(e, nullptr);
-      } else {
-        count_window->Push(e);
-      }
-    }
-    step = plan.checkpoint.elements_consumed;
-  }
-  std::vector<psky::UncertainElement> expired;
-  for (const psky::WalRecord& r : plan.tail) {
-    if (time_window != nullptr) {
-      expired.clear();
-      psky::UncertainElement incoming = r.element;
-      // Logged elements were admitted once, so they re-admit here (the
-      // WAL holds post-clamp timestamps); the guard is pure paranoia.
-      if (!time_window->TryPush(&incoming, &expired)) continue;
-      for (const auto& old : expired) op.Expire(old);
-      op.Insert(incoming);
-    } else {
-      if (count_window->full()) {
-        op.Expire(count_window->PushRotate(r.element));
-      } else {
-        count_window->Push(r.element);
-      }
-      op.Insert(r.element);
-    }
-    step = r.step_after;
-  }
-
-  const auto window_now = time_window != nullptr ? time_window->Snapshot()
-                                                 : count_window->Snapshot();
   if (args.audit_mode != psky::AuditMode::kOff) {
     // Independent re-derivation: the naive oracle computes the exact
     // q-skyline of the reconstructed window from scratch.
     psky::NaiveSkylineOperator oracle(args.dims, args.q);
-    for (const auto& e : window_now) oracle.Insert(e);
+    const psky::CheckpointElementSource window = pipeline.Source();
+    for (psky::UncertainElement e; window(&e);) oracle.Insert(e);
     auto by_seq = [](const psky::SkylineMember& a,
                      const psky::SkylineMember& b) {
       return a.element.seq < b.element.seq;
@@ -801,12 +928,12 @@ int RunReplayAt(const Args& args) {
   PrintSkylineMembers(op.Skyline(), args.dims);
   std::fprintf(
       stderr,
-      "replayed to step %llu (checkpoint base %llu + %zu WAL records; "
-      "window holds %zu elements)\n",
-      static_cast<unsigned long long>(step),
-      static_cast<unsigned long long>(
-          plan.has_checkpoint ? plan.checkpoint.elements_consumed : 0),
-      plan.tail.size(), window_now.size());
+      "replayed to step %llu (checkpoint base %llu + %llu WAL records; "
+      "window holds %llu elements)\n",
+      static_cast<unsigned long long>(replayed.step),
+      static_cast<unsigned long long>(replayed.base.elements_consumed),
+      static_cast<unsigned long long>(replayed.tail_records),
+      static_cast<unsigned long long>(pipeline.size()));
   return 0;
 }
 
@@ -857,100 +984,6 @@ int main(int argc, char** argv) {
   }
 
   if (!args.replay_at.empty()) return RunReplayAt(args);
-
-  // --- resume: load the newest valid checkpoint -------------------------
-  // With --wal, recovery is checkpoint + WAL tail: the records past the
-  // snapshot are replayed below, and a crash before the first checkpoint
-  // still recovers (empty base + WAL from step 1).
-  psky::CheckpointState resume_state;
-  psky::RecoveredState recovered;  // WAL tail, under --wal --resume
-  // Disk-window streamed resume: the chosen checkpoint file, replayed
-  // element-by-element after the segment store exists (never
-  // materialized into resume_state.window).
-  std::string resume_ckpt_path;
-  bool resumed = false;
-  bool resumed_with_checkpoint = false;
-  if (args.resume) {
-    std::string error;
-    if (args.wal) {
-      if (!psky::RecoverState(args.checkpoint_dir, &recovered, &error)) {
-        std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                     args.checkpoint_dir.c_str(), error.c_str());
-        return 3;
-      }
-      if (!recovered.notes.empty()) {
-        std::fprintf(stderr, "warning: recovery: %s\n",
-                     recovered.notes.c_str());
-      }
-      resume_state = recovered.checkpoint;
-      resumed_with_checkpoint = recovered.has_checkpoint;
-      resumed = recovered.has_checkpoint || !recovered.tail.empty();
-    } else if (args.window_store == "disk") {
-      // Streamed resume: pick the newest checkpoint that validates
-      // (full CRC + payload decode) without materializing its window.
-      // The elements stream straight into the segment store below, once
-      // it exists, so a 100M-element resume never builds an O(N) vector.
-      for (const std::string& path :
-           psky::ListCheckpointFiles(args.checkpoint_dir)) {
-        psky::CheckpointState probe;
-        std::string file_error;
-        if (psky::ReadCheckpointFileStreamed(
-                path, &probe, [](const psky::UncertainElement&) {},
-                &file_error)) {
-          resume_state = std::move(probe);
-          resume_ckpt_path = path;
-          break;
-        }
-        if (!error.empty()) error += "; ";
-        error += path + ": " + file_error;
-      }
-      if (resume_ckpt_path.empty()) {
-        std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                     args.checkpoint_dir.c_str(),
-                     error.empty() ? "no checkpoint files found"
-                                   : error.c_str());
-        return 3;
-      }
-      if (!error.empty()) {
-        std::fprintf(stderr, "warning: skipped corrupt checkpoint(s): %s\n",
-                     error.c_str());
-      }
-      resumed = resumed_with_checkpoint = true;
-    } else {
-      if (!psky::LoadLatestCheckpoint(args.checkpoint_dir, &resume_state,
-                                      &error)) {
-        std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                     args.checkpoint_dir.c_str(), error.c_str());
-        return 3;
-      }
-      if (!error.empty()) {
-        std::fprintf(stderr, "warning: skipped corrupt checkpoint(s): %s\n",
-                     error.c_str());
-      }
-      resumed = resumed_with_checkpoint = true;
-    }
-    const psky::WindowKind want_kind = args.time_span > 0.0
-                                           ? psky::WindowKind::kTime
-                                           : psky::WindowKind::kCount;
-    if (resumed_with_checkpoint &&
-        (resume_state.dims != args.dims || resume_state.q != args.q ||
-         resume_state.window_kind != want_kind ||
-         (want_kind == psky::WindowKind::kCount &&
-          resume_state.window_capacity != args.window) ||
-         (want_kind == psky::WindowKind::kTime &&
-          resume_state.time_span != args.time_span))) {
-      std::fprintf(stderr,
-                   "error: checkpoint was taken with a different "
-                   "dims/q/window configuration\n");
-      return 1;
-    }
-    if (!resumed_with_checkpoint && !recovered.tail.empty() &&
-        recovered.tail.front().element.pos.dims() != args.dims) {
-      std::fprintf(stderr, "error: WAL records carry %d dims, --dims is %d\n",
-                   recovered.tail.front().element.pos.dims(), args.dims);
-      return 1;
-    }
-  }
 
   psky::SkyTree::Options options;
   options.record_events = args.emit == "deltas";
@@ -1011,115 +1044,55 @@ int main(int argc, char** argv) {
   } else {
     count_window = std::make_unique<psky::CountWindow>(args.window);
   }
-  auto window_snapshot = [&]() {
-    return engine != nullptr        ? engine->WindowSnapshot()
-           : time_window != nullptr ? time_window->Snapshot()
-           : disk_window != nullptr ? disk_window->Snapshot()
-                                    : count_window->Snapshot();
-  };
-  // Out-of-order rejections under --ooo-policy reject, whichever side
-  // owns the time-window watermark.
-  auto ooo_rejected = [&]() -> uint64_t {
-    if (time_window != nullptr) return time_window->rejected();
-    if (engine != nullptr) return engine->rejected();
-    return 0;
-  };
+  const Pipeline pipeline{&op, engine.get(), count_window.get(),
+                          time_window.get(), disk_window.get()};
+
+  // --- resume: checkpoint + (with --wal) WAL tail, streamed ------------
+  // With --wal, recovery is checkpoint + WAL tail, and a crash before the
+  // first checkpoint still recovers (empty base + WAL from step 1).
+  psky::ResumeResult recovered;
+  bool resumed = false;
+  if (args.resume) {
+    const int code = StreamResume(args, nullptr, pipeline, &recovered);
+    if (code >= 0) return code;
+    resumed = recovered.has_checkpoint || recovered.tail_records > 0;
+    // A corrupt checkpoint must not hold a retention slot: renamed out of
+    // the ckpt-*.psky namespace it stays as evidence, and pruning keeps
+    // --keep-checkpoints valid ones.
+    for (const std::string& path : recovered.skipped) {
+      std::error_code ec;
+      std::filesystem::rename(path, path + ".corrupt", ec);
+    }
+  }
 
   CarriedCounters carried;
   uint64_t step = 0;
+  // Source position to fast-forward from: the checkpoint's, or the tip
+  // record's when a WAL tail was replayed past it.
+  psky::CheckpointState resume_from = recovered.base;
   if (resumed) {
-    // Deterministic replay: re-inserting the checkpointed window contents
-    // oldest-first rebuilds the exact candidate-set state. Checkpoints
-    // are shard-count-agnostic (the merged window snapshot is
-    // byte-identical to a sequential one), so a sequential checkpoint
-    // resumes into a sharded run and vice versa.
-    if (engine != nullptr) {
-      engine->Restore(resume_state.window);
-    } else if (disk_window != nullptr && !resume_ckpt_path.empty()) {
-      // Streamed replay: elements flow file -> segment store + operator
-      // one decode batch at a time (ReadCheckpointFileStreamed already
-      // CRC-validated the file during resume selection above).
-      psky::CheckpointState replayed;
-      std::string replay_error;
-      if (!psky::ReadCheckpointFileStreamed(
-              resume_ckpt_path, &replayed,
-              [&](const psky::UncertainElement& e) {
-                disk_window->Push(e);
-                op.Insert(e);
-              },
-              &replay_error)) {
-        std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                     resume_ckpt_path.c_str(), replay_error.c_str());
-        return 3;
-      }
-    } else {
-      psky::ReplayWindow(resume_state, &op);
-      for (const auto& e : resume_state.window) {
-        if (time_window != nullptr) {
-          time_window->Push(e, nullptr);
-        } else if (disk_window != nullptr) {
-          disk_window->Push(e);
-        } else {
-          count_window->Push(e);
-        }
-      }
-    }
     if (options.record_events) op.TakeSkylineDelta();  // replay is not news
-    step = resume_state.elements_consumed;
-    carried.bad_lines_skipped = resume_state.bad_lines_skipped;
-    carried.probs_clamped = resume_state.probs_clamped;
-    carried.ooo_dropped = resume_state.ooo_dropped;
+    step = recovered.step;
+    carried = {resume_from.bad_lines_skipped, resume_from.probs_clamped,
+               resume_from.ooo_dropped};
     std::fprintf(stderr,
-                 "resumed at step %llu (window holds %zu elements)\n",
-                 static_cast<unsigned long long>(step),
-                 disk_window != nullptr && !resume_ckpt_path.empty()
-                     ? disk_window->size()
-                     : resume_state.window.size());
+                 "resumed at step %llu (window holds %llu elements)\n",
+                 static_cast<unsigned long long>(resume_from.elements_consumed),
+                 static_cast<unsigned long long>(recovered.window_elements));
   }
-
-  // --- WAL tail replay (crash recovery past the checkpoint) -------------
-  if (args.wal && !recovered.tail.empty()) {
-    std::vector<psky::UncertainElement> tail_expired;
-    for (const psky::WalRecord& r : recovered.tail) {
-      psky::UncertainElement e = r.element;
-      if (engine != nullptr) {
-        // The WAL holds only admitted (post-clamp) elements, so the
-        // router cannot reject them.
-        PSKY_CHECK_MSG(engine->Route(e),
-                       "WAL replay: admitted element rejected");
-      } else if (time_window != nullptr) {
-        tail_expired.clear();
-        // The WAL holds only admitted elements with already-clamped
-        // timestamps, so re-admission cannot fail.
-        PSKY_CHECK_MSG(time_window->TryPush(&e, &tail_expired),
-                       "WAL replay: admitted element rejected");
-        for (const auto& old : tail_expired) op.Expire(old);
-      } else if (disk_window != nullptr) {
-        if (disk_window->full()) op.Expire(disk_window->PushRotate(e));
-        else disk_window->Push(e);
-      } else {
-        if (count_window->full()) op.Expire(count_window->PushRotate(e));
-        else count_window->Push(e);
-      }
-      if (engine == nullptr) op.Insert(e);
-      step = r.step_after;
-    }
-    if (options.record_events) op.TakeSkylineDelta();  // replay is not news
+  if (recovered.tail_records > 0) {
     // The tip record carries the absolute source position and cumulative
-    // counters: fast-forward the source from it (not the checkpoint) and
-    // restart the run-relative counters at zero.
-    const psky::WalRecord& tip = recovered.tail.back();
-    resume_state.next_seq = tip.next_seq_after;
-    resume_state.lines_consumed = tip.lines_after;
-    carried.bad_lines_skipped = tip.skipped_total;
-    carried.probs_clamped = tip.clamped_total;
-    carried.ooo_dropped = tip.ooo_total;
-    std::fprintf(stderr, "replayed %zu WAL record(s); now at step %llu\n",
-                 recovered.tail.size(),
+    // counters: fast-forward the source from it (not the checkpoint).
+    const psky::WalRecord& tip = recovered.tip;
+    resume_from.next_seq = tip.next_seq_after;
+    resume_from.lines_consumed = tip.lines_after;
+    carried = {tip.skipped_total, tip.clamped_total, tip.ooo_total};
+    std::fprintf(stderr, "replayed %llu WAL record(s); now at step %llu\n",
+                 static_cast<unsigned long long>(recovered.tail_records),
                  static_cast<unsigned long long>(step));
   }
 
-  Source source(args, resumed ? &resume_state : nullptr);
+  Source source(args, resumed ? &resume_from : nullptr);
 
   // Source position after the last *processed* element. Checkpoints are
   // built from these carried values, never from the live source — with a
@@ -1131,16 +1104,21 @@ int main(int argc, char** argv) {
     uint64_t lines = 0;
     uint64_t skipped = 0;
     uint64_t clamped = 0;
+    void Advance(const psky::IngestItem& item) {
+      next_seq = item.next_seq_after;
+      lines = item.lines_after;
+      skipped = item.skipped_after;
+      clamped = item.clamped_after;
+    }
   } last;
   if (resumed) {
-    last.next_seq = resume_state.next_seq;
-    last.lines = resume_state.lines_consumed;
+    last.next_seq = resume_from.next_seq;
+    last.lines = resume_from.lines_consumed;
   }
 
-  // Everything a checkpoint records except the window contents. The
-  // disk-mode streamed writer pairs this header with a segment-store
-  // cursor; build_state() adds the materialized window for every other
-  // consumer (in-memory checkpoints, quarantine dumps).
+  // Everything a checkpoint records except the window contents, which
+  // checkpoints stream in place (Pipeline::Source). build_state() adds
+  // a materialized window for the quarantine dump alone.
   auto build_header = [&]() -> psky::CheckpointState {
     psky::CheckpointState state;
     state.dims = args.dims;
@@ -1157,12 +1135,12 @@ int main(int argc, char** argv) {
     state.next_seq = last.next_seq;
     state.bad_lines_skipped = carried.bad_lines_skipped + last.skipped;
     state.probs_clamped = carried.probs_clamped + last.clamped;
-    state.ooo_dropped = carried.ooo_dropped + ooo_rejected();
+    state.ooo_dropped = carried.ooo_dropped + pipeline.rejected();
     return state;
   };
   auto build_state = [&]() -> psky::CheckpointState {
     psky::CheckpointState state = build_header();
-    state.window = window_snapshot();
+    state.window = pipeline.Snapshot();
     return state;
   };
 
@@ -1245,7 +1223,7 @@ int main(int argc, char** argv) {
     r.lines_after = item.lines_after;
     r.skipped_total = carried.bad_lines_skipped + item.skipped_after;
     r.clamped_total = carried.probs_clamped + item.clamped_after;
-    r.ooo_total = carried.ooo_dropped + ooo_rejected();
+    r.ooo_total = carried.ooo_dropped + pipeline.rejected();
     std::string error;
     const bool appended = psky::RetryWithBackoff(
         io_policy,
@@ -1310,23 +1288,10 @@ int main(int argc, char** argv) {
     const std::string path =
         args.checkpoint_dir + "/" + psky::CheckpointFileName(step);
     std::string error;
-    bool written;
-    if (disk_window != nullptr) {
-      // Streamed write: the window flows segment store -> file one
-      // element at a time, so a giant-window checkpoint holds O(1)
-      // elements in memory. Each retry attempt gets a fresh cursor.
-      auto source_factory = [&]() -> psky::CheckpointElementSource {
-        auto cur = std::make_shared<psky::SegmentStore::Cursor>(
-            disk_window->NewCursor());
-        return [cur](psky::UncertainElement* e) { return cur->Next(e); };
-      };
-      written = psky::WriteCheckpointFileStreamedRetry(
-          path, build_header(), disk_window->size(), source_factory,
-          io_policy, &io_stats, &error);
-    } else {
-      written = psky::WriteCheckpointFileRetry(path, build_state(),
-                                               io_policy, &io_stats, &error);
-    }
+    const bool written = psky::WriteCheckpointFileStreamedRetry(
+        path, build_header(), pipeline.size(),
+        [&pipeline] { return pipeline.Source(); }, io_policy, &io_stats,
+        &error);
     if (!written) {
       std::fprintf(stderr, "error: checkpoint failed: %s\n", error.c_str());
       // The retry budget is exhausted (or the error was permanent): this
@@ -1334,7 +1299,8 @@ int main(int argc, char** argv) {
       DumpQuarantine("checkpoint write failed: " + error);
       return false;
     }
-    psky::PruneCheckpoints(args.checkpoint_dir, args.keep_checkpoints);
+    const uint64_t oldest_kept =
+        psky::PruneCheckpoints(args.checkpoint_dir, args.keep_checkpoints);
     ++checkpoints_written;
     if (args.wal &&
         wal.path() !=
@@ -1356,13 +1322,7 @@ int main(int argc, char** argv) {
         DumpQuarantine("WAL rotation failed: " + rot_error);
         return false;
       }
-      uint64_t oldest_kept = step;
-      for (const std::string& p :
-           psky::ListCheckpointFiles(args.checkpoint_dir)) {
-        uint64_t s = 0;
-        if (psky::ParseCheckpointStep(p, &s)) oldest_kept = std::min(oldest_kept, s);
-      }
-      psky::PruneWalFiles(args.checkpoint_dir, oldest_kept);
+      psky::PruneWalFiles(args.checkpoint_dir, std::min(oldest_kept, step));
     }
     return true;
   };
@@ -1384,36 +1344,7 @@ int main(int argc, char** argv) {
   // Disk windows replay the oracle synchronously, streaming from a
   // cursor: an async replay needs a copy of the whole window in RAM.
   audit_options.pool = disk_window != nullptr ? nullptr : pool.get();
-  // The auditor reads the live window in place, whatever holds it.
-  auto make_audit = [&]() -> psky::AuditManager {
-    if (disk_window != nullptr) {
-      psky::StoredCountWindow* dw = disk_window.get();
-      psky::AuditManager::WindowView view;
-      view.size = [dw]() { return static_cast<uint64_t>(dw->size()); };
-      view.at = [dw](uint64_t i) { return dw->At(static_cast<size_t>(i)); };
-      view.scan_from = [dw](uint64_t start,
-                            const psky::AuditManager::Visitor& visit) {
-        psky::SegmentStore::Cursor cur = dw->NewCursor(start);
-        psky::UncertainElement e;
-        while (cur.Next(&e) && visit(e)) {
-        }
-      };
-      return psky::AuditManager(&op, audit_options, std::move(view));
-    }
-    if (time_window != nullptr) {
-      return psky::AuditManager(
-          &op, audit_options,
-          psky::AuditManager::IndexedView(time_window.get()));
-    }
-    if (count_window != nullptr) {
-      return psky::AuditManager(
-          &op, audit_options,
-          psky::AuditManager::IndexedView(count_window.get()));
-    }
-    // Sharded: each shard audits its own window; this manager stays off.
-    return psky::AuditManager(&op, audit_options, window_snapshot);
-  };
-  psky::AuditManager audit = make_audit();
+  psky::AuditManager audit(&op, audit_options, pipeline.AuditView());
 
   g_postmortem.snapshot = build_state;
   g_postmortem.audit = &audit;
@@ -1455,7 +1386,6 @@ int main(int argc, char** argv) {
     watchdog->Start();
   }
 
-  const uint64_t resume_step = step;
   uint64_t processed_items = 0;
   auto heartbeat_last = std::chrono::steady_clock::now();
   uint64_t heartbeat_last_step = step;
@@ -1469,81 +1399,33 @@ int main(int argc, char** argv) {
     if (psky::fault::Enabled()) {
       psky::fault::MaybeDelay(psky::fault::Site::kStep);
     }
-    const psky::UncertainElement& element = item.element;
-    if (engine != nullptr) {
-      psky::UncertainElement admitted;
-      if (!engine->Route(element, &admitted)) {
-        // Late timestamp under --ooo-policy reject (time windows only):
-        // same handling as the sequential TryPush rejection below.
-        if (args.on_bad_input == psky::BadInputPolicy::kFail) {
-          std::fprintf(
-              stderr,
-              "error: line %llu: out-of-order timestamp %g is behind "
-              "watermark %g (see --ooo-policy)\n",
-              static_cast<unsigned long long>(
-                  source.csv() != nullptr ? item.lines_after : step + 1),
-              element.time, engine->watermark());
-          return 2;
-        }
-        last.next_seq = item.next_seq_after;
-        last.lines = item.lines_after;
-        last.skipped = item.skipped_after;
-        last.clamped = item.clamped_after;
-        return -1;
+    psky::UncertainElement admitted = item.element;
+    if (!pipeline.Admit(&admitted, &expired)) {
+      // Late timestamp under --ooo-policy reject (time windows only):
+      // treat like a malformed line.
+      if (args.on_bad_input == psky::BadInputPolicy::kFail) {
+        std::fprintf(
+            stderr,
+            "error: line %llu: out-of-order timestamp %g is behind "
+            "watermark %g (see --ooo-policy)\n",
+            static_cast<unsigned long long>(
+                source.csv() != nullptr ? item.lines_after : step + 1),
+            admitted.time, pipeline.watermark());
+        return 2;
       }
-      // The insert command is already in flight when the WAL is stamped;
-      // that is safe because nothing is acknowledged until wal_log
-      // returns, and checkpoints barrier on the WAL before snapshotting.
-      if (args.wal && !wal_log(admitted, item, step + 1)) return 3;
-    } else if (time_window != nullptr) {
-      expired.clear();
-      psky::UncertainElement incoming = element;
-      if (!time_window->TryPush(&incoming, &expired)) {
-        // Late timestamp under --ooo-policy reject: treat like a
-        // malformed line.
-        if (args.on_bad_input == psky::BadInputPolicy::kFail) {
-          std::fprintf(
-              stderr,
-              "error: line %llu: out-of-order timestamp %g is behind "
-              "watermark %g (see --ooo-policy)\n",
-              static_cast<unsigned long long>(
-                  source.csv() != nullptr ? item.lines_after : step + 1),
-              incoming.time, time_window->watermark());
-          return 2;
-        }
-        // The element was consumed even though it was dropped: advance the
-        // carried source position so a checkpoint does not replay it.
-        last.next_seq = item.next_seq_after;
-        last.lines = item.lines_after;
-        last.skipped = item.skipped_after;
-        last.clamped = item.clamped_after;
-        return -1;
-      }
-      // Stamp the admitted (clamp-adjusted) element into the WAL before
-      // it reaches the operator.
-      if (args.wal && !wal_log(incoming, item, step + 1)) return 3;
-      for (const auto& old : expired) op.Expire(old);
-      op.Insert(incoming);
-    } else {
-      if (args.wal && !wal_log(element, item, step + 1)) return 3;
-      if (disk_window != nullptr) {
-        if (disk_window->full()) {
-          op.Expire(disk_window->PushRotate(element));
-        } else {
-          disk_window->Push(element);
-        }
-      } else if (count_window->full()) {
-        op.Expire(count_window->PushRotate(element));
-      } else {
-        count_window->Push(element);
-      }
-      op.Insert(element);
+      // The element was consumed even though it was dropped: advance the
+      // carried source position so a checkpoint does not replay it.
+      last.Advance(item);
+      return -1;
     }
+    // Stamp the admitted (clamp-adjusted) element into the WAL before it
+    // reaches the operator. The engine's insert command is already in
+    // flight; that is safe because nothing is acknowledged until wal_log
+    // returns, and checkpoints barrier on the WAL before snapshotting.
+    if (args.wal && !wal_log(admitted, item, step + 1)) return 3;
+    pipeline.Apply(admitted, expired);
     ++step;
-    last.next_seq = item.next_seq_after;
-    last.lines = item.lines_after;
-    last.skipped = item.skipped_after;
-    last.clamped = item.clamped_after;
+    last.Advance(item);
 
     if (args.inject_drift_at != 0 && step == args.inject_drift_at) {
       // Corrupt the newest live candidate's P_old in place — the class of
@@ -1551,7 +1433,7 @@ int main(int argc, char** argv) {
       // alone: it also drives candidate retention, so damaging it can
       // cause an eviction (unrepairable by design) before the auditor's
       // next pass.
-      const auto window = window_snapshot();
+      const auto window = pipeline.Snapshot();
       for (auto it = window.rbegin(); it != window.rend(); ++it) {
         const auto view = op.tree().LookupForAudit(it->pos, it->seq);
         if (!view.found) continue;
@@ -1584,20 +1466,15 @@ int main(int argc, char** argv) {
       }
     } else if (args.emit == "counts" && args.every > 0 &&
                step % args.every == 0) {
-      if (engine != nullptr) {
-        // Each report is a barrier + exact merge; |S*| equals the
-        // sequential candidate count, so the line diffs cleanly against
-        // a --shards 1 run.
-        size_t candidates = 0;
-        const auto members = engine->GlobalSkyline(&candidates);
-        std::printf("step=%llu candidates=%zu skyline=%zu\n",
-                    static_cast<unsigned long long>(step), candidates,
-                    members.size());
-      } else {
-        std::printf("step=%llu candidates=%zu skyline=%zu\n",
-                    static_cast<unsigned long long>(step),
-                    op.candidate_count(), op.skyline_count());
-      }
+      // Sharded: each report is a barrier + exact merge; |S*| equals the
+      // sequential candidate count, so the line diffs cleanly against a
+      // --shards 1 run.
+      size_t candidates = op.candidate_count();
+      const size_t skyline = engine != nullptr
+                                 ? engine->GlobalSkyline(&candidates).size()
+                                 : op.skyline_count();
+      std::printf("step=%llu candidates=%zu skyline=%zu\n",
+                  static_cast<unsigned long long>(step), candidates, skyline);
     }
 
     if (args.stats_interval > 0 && step % args.stats_interval == 0) {
@@ -1872,27 +1749,27 @@ int main(int argc, char** argv) {
     } else {
       members = args.topk > 0 ? op.tree().TopK(args.topk) : op.Skyline();
     }
-    for (const auto& m : members) {
-      if (args.topk > 0 && m.psky < args.q) break;
-      std::printf("seq=%llu psky=%.6f pos=",
-                  static_cast<unsigned long long>(m.element.seq), m.psky);
-      for (int i = 0; i < args.dims; ++i) {
-        std::printf(i == 0 ? "%g" : ",%g", m.element.pos[i]);
-      }
-      std::printf(" prob=%g\n", m.element.prob);
+    const size_t results = members.size();
+    if (args.topk > 0) {  // top-k stops below q
+      members.erase(std::find_if(members.begin(), members.end(),
+                                 [&args](const psky::SkylineMember& m) {
+                                   return m.psky < args.q;
+                                 }),
+                    members.end());
     }
+    PrintSkylineMembers(members, args.dims);
     if (!complete) {
       std::fprintf(stderr,
                    "final query deadline of %llu ms exceeded; emitted %zu "
                    "partial result(s)\n",
                    static_cast<unsigned long long>(args.query_deadline_ms),
-                   members.size());
+                   results);
     }
   }
 
   const uint64_t skipped = carried.bad_lines_skipped + last.skipped;
   const uint64_t clamped = carried.probs_clamped + last.clamped;
-  const uint64_t ooo = carried.ooo_dropped + ooo_rejected();
+  const uint64_t ooo = carried.ooo_dropped + pipeline.rejected();
   std::fprintf(stderr, "processed %llu elements; |S|=%zu |SKY|=%zu\n",
                static_cast<unsigned long long>(step),
                engine != nullptr ? merged_candidates : op.candidate_count(),
@@ -1911,7 +1788,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(es.merge_cell_skips),
         static_cast<unsigned long long>(es.barriers));
   }
-  (void)resume_step;
   if (skipped > 0 || clamped > 0 || ooo > 0) {
     std::fprintf(stderr,
                  "skipped %llu malformed lines, clamped %llu probabilities, "
