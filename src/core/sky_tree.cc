@@ -82,15 +82,6 @@ void SkyTree::RebandElem(Elem* el) {
 // Trivial event-queue drain; no tree state is touched, so there is no
 // invariant to check.
 // psky-lint: allow(mutation-guard)
-std::vector<SkyTree::BandChange> SkyTree::TakeBandChanges() {
-  std::vector<BandChange> out;
-  out.swap(events_);
-  return out;
-}
-
-// Trivial event-queue drain; no tree state is touched, so there is no
-// invariant to check.
-// psky-lint: allow(mutation-guard)
 void SkyTree::DrainBandChanges(std::vector<BandChange>* out) {
   out->clear();
   out->swap(events_);

@@ -1,7 +1,6 @@
 #include "core/ssky_operator.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace psky {
 
@@ -47,21 +46,25 @@ std::vector<SkylineMember> SskyOperator::Candidates() const {
 
 SskyOperator::SkylineDelta SskyOperator::TakeSkylineDelta() {
   tree_.DrainBandChanges(&scratch_events_);
-  scratch_net_.clear();
-  for (const SkyTree::BandChange& ev : scratch_events_) {
-    auto [it, inserted] =
-        scratch_net_.try_emplace(ev.seq, NetBandMove{ev.old_band, 0});
-    it->second.last_new = ev.new_band;
-  }
+  // One seq's events form a chain (each old band is the band the previous
+  // event set), so summing [new == 1] - [old == 1] over them telescopes to
+  // [last new == 1] - [first old == 1] in any order. Sorting by seq groups
+  // each chain and leaves both lists sorted.
+  std::sort(scratch_events_.begin(), scratch_events_.end(),
+            [](const SkyTree::BandChange& a, const SkyTree::BandChange& b) {
+              return a.seq < b.seq;
+            });
   SkylineDelta delta;
-  for (const auto& [seq, n] : scratch_net_) {
-    const bool was_sky = n.first_old == 1;
-    const bool is_sky = n.last_new == 1;
-    if (!was_sky && is_sky) delta.entered.push_back(seq);
-    if (was_sky && !is_sky) delta.left.push_back(seq);
+  for (size_t i = 0; i < scratch_events_.size();) {
+    const uint64_t seq = scratch_events_[i].seq;
+    int net = 0;
+    for (; i < scratch_events_.size() && scratch_events_[i].seq == seq; ++i) {
+      net += (scratch_events_[i].new_band == 1) -
+             (scratch_events_[i].old_band == 1);
+    }
+    if (net > 0) delta.entered.push_back(seq);
+    if (net < 0) delta.left.push_back(seq);
   }
-  std::sort(delta.entered.begin(), delta.entered.end());
-  std::sort(delta.left.begin(), delta.left.end());
   return delta;
 }
 

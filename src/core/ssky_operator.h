@@ -5,7 +5,6 @@
 #define PSKY_CORE_SSKY_OPERATOR_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/operator.h"
@@ -56,20 +55,11 @@ class SskyOperator : public WindowSkylineOperator {
   SkylineDelta TakeSkylineDelta();
 
  private:
-  // Per-element net band move composed from an event chain: only the
-  // first origin and the final destination matter for membership.
-  struct NetBandMove {
-    int first_old = 0;
-    int last_new = 0;
-  };
-
   double q_;
   SkyTree tree_;
   mutable OperatorStats stats_;
-  // Scratch reused across TakeSkylineDelta calls (the per-step hot path
-  // of delta-emitting streams): buffer capacity and hash buckets persist.
+  // Drain buffer for TakeSkylineDelta; only its capacity outlives a call.
   std::vector<SkyTree::BandChange> scratch_events_;
-  std::unordered_map<uint64_t, NetBandMove> scratch_net_;
 };
 
 }  // namespace psky

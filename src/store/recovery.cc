@@ -100,7 +100,7 @@ ResumeStatus Resume(const std::string& dir, const ResumeOptions& options,
 
   // The contiguous run of WAL records following the checkpoint: records
   // with step_after = step + 1, step + 2, ... taken across consecutive
-  // files of the rotation chain, each file's records applied as it
+  // files of the rotation chain, each record applied as its frame
   // decodes. The chain starts at the last file whose start step is at or
   // below the checkpoint; earlier files only hold older records. The
   // first gap or unreadable file ends the tail (with a note); later files
@@ -114,9 +114,35 @@ ResumeStatus Resume(const std::string& dir, const ResumeOptions& options,
   bool any_readable = false;
   bool chain_ended = false;
   for (size_t i = first; i < files.size(); ++i) {
+    std::string gap;
+    bool refused = false;
+    const auto apply = [&](const WalRecord& r) {
+      // Past the chain's end, pre-base or a duplicate: skip.
+      if (chain_ended || r.step_after <= out->step) return true;
+      if (r.step_after != out->step + 1) {
+        gap = files[i] + ": gap before step " + std::to_string(r.step_after) +
+              " (expected " + std::to_string(out->step + 1) + ")";
+        chain_ended = true;
+      } else if (target != nullptr &&
+                 (target->kind == ReplayTarget::Kind::kStep
+                      ? r.step_after > target->step
+                      : r.element.time > target->time)) {
+        chain_ended = true;
+      } else if (sink.record && !sink.record(r)) {
+        refused = true;
+        return false;
+      } else {
+        out->step = r.step_after;
+        out->tip = r;
+        ++out->tail_records;
+      }
+      return true;
+    };
     WalContents contents;
     std::string file_error;
-    if (!ReadWalFile(files[i], &contents, &file_error)) {
+    const bool readable = ReadWalFile(files[i], apply, &contents, &file_error);
+    if (refused) return ResumeStatus::kRefused;
+    if (!readable) {
       Note(&out->notes, file_error);
       chain_ended = true;
       continue;
@@ -127,26 +153,7 @@ ResumeStatus Resume(const std::string& dir, const ResumeOptions& options,
       out->tail_truncated = true;
       Note(&out->notes, files[i] + ": " + contents.tail_diagnostic);
     }
-    for (size_t k = 0; !chain_ended && k < contents.records.size(); ++k) {
-      const WalRecord& r = contents.records[k];
-      if (r.step_after <= out->step) continue;  // pre-base or duplicate
-      if (r.step_after != out->step + 1) {
-        Note(&out->notes, files[i] + ": gap before step " +
-                              std::to_string(r.step_after) + " (expected " +
-                              std::to_string(out->step + 1) + ")");
-        chain_ended = true;
-      } else if (target != nullptr &&
-                 (target->kind == ReplayTarget::Kind::kStep
-                      ? r.step_after > target->step
-                      : r.element.time > target->time)) {
-        chain_ended = true;
-      } else {
-        if (sink.record && !sink.record(r)) return ResumeStatus::kRefused;
-        out->step = r.step_after;
-        out->tip = r;
-        ++out->tail_records;
-      }
-    }
+    if (!gap.empty()) Note(&out->notes, gap);
   }
   if (!out->has_checkpoint && !any_readable) {
     const std::string why = Joined(out->skipped_diagnostics, out->notes);

@@ -16,9 +16,9 @@
 // checkpoint that validates, hands the caller its configuration before any
 // element flows, then streams the window and the contiguous WAL tail into
 // the caller's sink — holding one checkpoint decode batch plus one WAL
-// file, never the window or the whole tail. Given a target it answers a
-// historical query ("the q-skyline at position P, or time T") the same
-// way, from the newest checkpoint at or before the target.
+// record, never the window, a WAL file or the tail. Given a target it
+// answers a historical query ("the q-skyline at position P, or time T")
+// the same way, from the newest checkpoint at or before the target.
 
 #ifndef PSKY_STORE_RECOVERY_H_
 #define PSKY_STORE_RECOVERY_H_

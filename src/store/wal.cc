@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 
 #include "base/crc32.h"
 #include "base/fault_injection.h"
@@ -182,15 +183,25 @@ bool DecodeWalRecordBody(std::string_view body, WalRecord* out,
   return true;
 }
 
-bool DecodeWalBytes(std::string_view bytes, WalContents* out,
-                    std::string* error) {
-  if (bytes.size() < kHeaderSize) {
+namespace {
+
+// Pulls the next `n` bytes of a WAL image; fewer means the image ended.
+// The view stays valid until the next pull.
+using WalPull = std::function<std::string_view(size_t n)>;
+
+// The one frame decoder: validates the header, then hands each whole,
+// CRC-clean record to `visit` as its frame decodes, stopping at the first
+// torn or corrupt frame (or when `visit` returns false).
+bool DecodeWal(const WalPull& pull, const WalRecordVisitor& visit,
+               WalContents* out, std::string* error) {
+  const std::string_view head = pull(kHeaderSize);
+  if (head.size() < kHeaderSize) {
     return Fail(error, "file shorter than a WAL header");
   }
-  if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
+  if (std::memcmp(head.data(), kMagic, sizeof kMagic) != 0) {
     return Fail(error, "bad magic (not a WAL file)");
   }
-  Cursor header(bytes.substr(sizeof kMagic));
+  Cursor header(head.substr(sizeof kMagic));
   uint32_t version = 0;
   WalContents contents;
   if (!header.ReadU32(&version) || !header.ReadU32(&contents.dims) ||
@@ -207,14 +218,15 @@ bool DecodeWalBytes(std::string_view bytes, WalContents* out,
   }
 
   contents.valid_bytes = kHeaderSize;
-  size_t pos = kHeaderSize;
   auto cut_tail = [&](const std::string& why) {
     contents.tail_truncated = true;
     contents.tail_diagnostic =
         why + " at offset " + std::to_string(contents.valid_bytes);
   };
-  while (pos < bytes.size()) {
-    Cursor frame(bytes.substr(pos));
+  for (;;) {
+    const std::string_view frame_head = pull(8);
+    if (frame_head.empty()) break;
+    Cursor frame(frame_head);
     uint32_t body_len = 0;
     uint32_t crc = 0;
     if (!frame.ReadU32(&body_len) || !frame.ReadU32(&crc)) {
@@ -226,11 +238,11 @@ bool DecodeWalBytes(std::string_view bytes, WalContents* out,
                " exceeds record maximum");
       break;
     }
-    if (frame.remaining() < body_len) {
+    const std::string_view body = pull(body_len);
+    if (body.size() < body_len) {
       cut_tail("torn record body");
       break;
     }
-    const std::string_view body = bytes.substr(pos + 8, body_len);
     if (Crc32(body.data(), body.size()) != crc) {
       cut_tail("record CRC mismatch");
       break;
@@ -245,37 +257,30 @@ bool DecodeWalBytes(std::string_view bytes, WalContents* out,
       cut_tail("record dims disagree with WAL header");
       break;
     }
-    contents.records.push_back(r);
-    pos += 8 + body_len;
-    contents.valid_bytes = pos;
+    contents.valid_bytes += 8 + body_len;
+    if (visit && !visit(r)) break;
   }
   *out = std::move(contents);
   return true;
 }
 
-bool ReadWalFile(const std::string& path, WalContents* out,
-                 std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Fail(error, "cannot open " + path + ": " + ErrnoString(errno));
+// Runs a streaming decode with a visitor that keeps every record.
+template <typename Decode>
+bool Collect(WalContents* out, const Decode& decode) {
+  std::vector<WalRecord> records;
+  if (!decode([&records](const WalRecord& r) {
+        records.push_back(r);
+        return true;
+      })) {
+    return false;
   }
-  std::string bytes;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Fail(error, "cannot read " + path);
-  std::string decode_error;
-  if (!DecodeWalBytes(bytes, out, &decode_error)) {
-    return Fail(error, path + ": " + decode_error);
-  }
+  out->records = std::move(records);
   return true;
 }
 
-bool RepairWalFile(const std::string& path, std::string* error) {
-  WalContents contents;
-  if (!ReadWalFile(path, &contents, error)) return false;
+// Truncates `path` to the valid prefix a decode found; no-op when clean.
+bool TruncateTornTail(const std::string& path, const WalContents& contents,
+                      std::string* error) {
   if (!contents.tail_truncated) return true;
   if (::truncate(path.c_str(), static_cast<off_t>(contents.valid_bytes)) !=
       0) {
@@ -284,6 +289,62 @@ bool RepairWalFile(const std::string& path, std::string* error) {
                            ErrnoString(errno));
   }
   return true;
+}
+
+}  // namespace
+
+bool DecodeWalBytes(std::string_view bytes, const WalRecordVisitor& visit,
+                    WalContents* out, std::string* error) {
+  size_t pos = 0;
+  return DecodeWal(
+      [bytes, &pos](size_t n) {
+        const std::string_view chunk = bytes.substr(pos, n);
+        pos += chunk.size();
+        return chunk;
+      },
+      visit, out, error);
+}
+
+bool DecodeWalBytes(std::string_view bytes, WalContents* out,
+                    std::string* error) {
+  return Collect(out, [&](const WalRecordVisitor& visit) {
+    return DecodeWalBytes(bytes, visit, out, error);
+  });
+}
+
+bool ReadWalFile(const std::string& path, const WalRecordVisitor& visit,
+                 WalContents* out, std::string* error) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Fail(error, "cannot open " + path + ": " + ErrnoString(errno));
+  }
+  std::string buf;
+  std::string decode_error;
+  const bool decoded = DecodeWal(
+      [f, &buf](size_t n) {
+        buf.resize(n);
+        buf.resize(std::fread(buf.data(), 1, n, f));
+        return std::string_view(buf);
+      },
+      visit, out, &decode_error);
+  const bool read_error = std::ferror(f) != 0;
+  std::fclose(f);
+  if (read_error) return Fail(error, "cannot read " + path);
+  if (!decoded) return Fail(error, path + ": " + decode_error);
+  return true;
+}
+
+bool ReadWalFile(const std::string& path, WalContents* out,
+                 std::string* error) {
+  return Collect(out, [&](const WalRecordVisitor& visit) {
+    return ReadWalFile(path, visit, out, error);
+  });
+}
+
+bool RepairWalFile(const std::string& path, std::string* error) {
+  WalContents contents;
+  return ReadWalFile(path, nullptr, &contents, error) &&
+         TruncateTornTail(path, contents, error);
 }
 
 std::string WalFileName(uint64_t start_step) {
@@ -415,12 +476,14 @@ bool WalWriter::Create(const std::string& path, uint32_t dims,
 bool WalWriter::OpenForAppend(const std::string& path, std::string* error,
                               int* out_errno, uint64_t* out_next_step) {
   Close();
-  if (!RepairWalFile(path, error)) {
-    if (out_errno != nullptr) *out_errno = 0;
-    return false;
-  }
   WalContents contents;
-  if (!ReadWalFile(path, &contents, error)) {
+  uint64_t last_step = 0;
+  const auto track_tip = [&last_step](const WalRecord& r) {
+    last_step = r.step_after;
+    return true;
+  };
+  if (!ReadWalFile(path, track_tip, &contents, error) ||
+      !TruncateTornTail(path, contents, error)) {
     if (out_errno != nullptr) *out_errno = 0;
     return false;
   }
@@ -436,9 +499,9 @@ bool WalWriter::OpenForAppend(const std::string& path, std::string* error,
   buffer_.clear();
   pending_ = 0;
   if (out_next_step != nullptr) {
-    *out_next_step = contents.records.empty()
+    *out_next_step = contents.valid_bytes == kHeaderSize
                          ? contents.start_step + 1
-                         : contents.records.back().step_after + 1;
+                         : last_step + 1;
   }
   return true;
 }

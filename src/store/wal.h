@@ -38,6 +38,7 @@
 #define PSKY_STORE_WAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -75,7 +76,9 @@ bool DecodeWalRecordBody(std::string_view body, WalRecord* out,
 struct WalContents {
   uint32_t dims = 0;
   uint64_t start_step = 0;
-  std::vector<WalRecord> records;  ///< the valid record prefix, in order
+  /// The valid record prefix, in order; filled only by the collecting
+  /// DecodeWalBytes/ReadWalFile (the visitor forms leave it empty).
+  std::vector<WalRecord> records;
   /// Byte length of the valid prefix (header + whole records). A repair
   /// truncates the file to this length before appending resumes.
   uint64_t valid_bytes = 0;
@@ -85,14 +88,29 @@ struct WalContents {
   std::string tail_diagnostic;  ///< why the tail was cut (when truncated)
 };
 
-/// Decodes a whole WAL byte image. Returns false only for a fatal header
-/// problem (bad magic/version/dims, or file shorter than a header); a
-/// torn or corrupt record tail still returns true with the valid prefix
-/// and tail_truncated set.
+/// Receives each whole, CRC-clean record of a WAL image in order, as its
+/// frame decodes. Returning false stops the decode after that record.
+using WalRecordVisitor = std::function<bool(const WalRecord&)>;
+
+/// Decodes a whole WAL byte image, handing each record to `visit` (which
+/// may be empty). Returns false only for a fatal header problem (bad
+/// magic/version/dims, or file shorter than a header); a torn or corrupt
+/// record tail still returns true, with valid_bytes covering the records
+/// visited and tail_truncated set.
+bool DecodeWalBytes(std::string_view bytes, const WalRecordVisitor& visit,
+                    WalContents* out, std::string* error);
+
+/// DecodeWalBytes collecting every record into out->records.
 bool DecodeWalBytes(std::string_view bytes, WalContents* out,
                     std::string* error);
 
-/// Reads and decodes a WAL file (see DecodeWalBytes for semantics).
+/// Streams a WAL file through the same decoder, one frame at a time: it
+/// holds one record, never the file. A read error fails the file after
+/// the records already visited.
+bool ReadWalFile(const std::string& path, const WalRecordVisitor& visit,
+                 WalContents* out, std::string* error);
+
+/// ReadWalFile collecting every record into out->records.
 bool ReadWalFile(const std::string& path, WalContents* out,
                  std::string* error);
 
@@ -142,8 +160,8 @@ class WalWriter {
               std::string* error, int* out_errno);
 
   /// Opens an existing log for appending, repairing a torn tail first
-  /// (RepairWalFile). `*out_next_step` receives the step_after the next
-  /// appended record should carry.
+  /// (as RepairWalFile does, in the same streamed pass). `*out_next_step`
+  /// receives the step_after the next appended record should carry.
   bool OpenForAppend(const std::string& path, std::string* error,
                      int* out_errno, uint64_t* out_next_step);
 

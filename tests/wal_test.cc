@@ -171,6 +171,63 @@ TEST(WalFile, TruncatedTailRecoversValidPrefix) {
   }
 }
 
+// A file streamed frame by frame decodes exactly as its byte image does,
+// at every truncation point: same records, valid prefix and diagnostic.
+TEST(WalFile, StreamedFileMatchesByteDecodeAtEveryCut) {
+  const std::string dir = TempDir("streamed");
+  const std::string path = WriteLog(dir, 2, 0, 6);
+  const std::string bytes = Slurp(path);
+  const std::string cut_path = dir + "/cut.pskywal";
+  std::string error;
+  for (size_t cut = 0; cut <= bytes.size(); ++cut) {
+    const std::string prefix = bytes.substr(0, cut);
+    Spit(cut_path, prefix);
+    WalContents want;
+    const bool want_ok = DecodeWalBytes(prefix, &want, &error);
+    WalContents got;
+    std::vector<WalRecord> streamed;
+    const bool got_ok = ReadWalFile(
+        cut_path,
+        [&streamed](const WalRecord& r) {
+          streamed.push_back(r);
+          return true;
+        },
+        &got, &error);
+    ASSERT_EQ(want_ok, got_ok) << "cut at " << cut;
+    if (!want_ok) continue;
+    EXPECT_TRUE(got.records.empty());
+    ASSERT_EQ(streamed.size(), want.records.size()) << "cut at " << cut;
+    for (size_t i = 0; i < streamed.size(); ++i) {
+      ExpectRecordsEqual(want.records[i], streamed[i]);
+    }
+    EXPECT_EQ(got.valid_bytes, want.valid_bytes) << "cut at " << cut;
+    EXPECT_EQ(got.tail_truncated, want.tail_truncated) << "cut at " << cut;
+    EXPECT_EQ(got.tail_diagnostic, want.tail_diagnostic) << "cut at " << cut;
+  }
+}
+
+// A visitor that returns false stops the decode after that record; the
+// valid prefix then ends there.
+TEST(WalFile, VisitorStopsDecodeEarly) {
+  const std::string dir = TempDir("stop");
+  const std::string path = WriteLog(dir, 2, 0, 5);
+  const std::string bytes = Slurp(path);
+  WalContents full;
+  std::string error;
+  ASSERT_TRUE(DecodeWalBytes(bytes, &full, &error)) << error;
+  WalContents contents;
+  uint64_t seen = 0;
+  ASSERT_TRUE(DecodeWalBytes(
+      bytes, [&seen](const WalRecord&) { return ++seen < 2; }, &contents,
+      &error))
+      << error;
+  EXPECT_EQ(seen, 2u);
+  EXPECT_FALSE(contents.tail_truncated);
+  EXPECT_EQ(contents.valid_bytes,
+            24 + 2 * 8 + EncodeWalRecord(full.records[0]).size() +
+                EncodeWalRecord(full.records[1]).size());
+}
+
 // A flipped bit anywhere in the final frame fails its CRC (or its frame
 // geometry) and cuts the tail; earlier records survive untouched.
 TEST(WalFile, BitFlipInTailRecordIsDetected) {

@@ -822,7 +822,16 @@ int StreamResume(const Args& args, const psky::ReplayTarget* target,
     }
     return true;
   };
-  sink.element = [&p](const psky::UncertainElement& e) { p.Restore(e); };
+  // Replay is not news: the band changes it records (with --emit deltas)
+  // are dropped a chunk of elements at a time, so no backlog builds up.
+  uint64_t replayed = 0;
+  const auto drop_events = [&p, &replayed] {
+    if (++replayed % 1024 == 0) p.op->TakeSkylineDelta();
+  };
+  sink.element = [&](const psky::UncertainElement& e) {
+    p.Restore(e);
+    drop_events();
+  };
   // The WAL holds only admitted elements with already-clamped timestamps,
   // so neither the router nor a time window can reject them.
   std::vector<psky::UncertainElement> expired;
@@ -836,6 +845,7 @@ int StreamResume(const Args& args, const psky::ReplayTarget* target,
     PSKY_CHECK_MSG(p.Admit(&e, &expired),
                    "WAL replay: admitted element rejected");
     p.Apply(e, expired);
+    drop_events();
     return true;
   };
   psky::ResumeOptions options;
@@ -844,6 +854,7 @@ int StreamResume(const Args& args, const psky::ReplayTarget* target,
   std::string error;
   switch (psky::Resume(args.checkpoint_dir, options, sink, result, &error)) {
     case psky::ResumeStatus::kOk:
+      p.op->TakeSkylineDelta();  // the last partial chunk
       break;
     case psky::ResumeStatus::kRefused:
       return 1;
@@ -1071,7 +1082,6 @@ int main(int argc, char** argv) {
   // record's when a WAL tail was replayed past it.
   psky::CheckpointState resume_from = recovered.base;
   if (resumed) {
-    if (options.record_events) op.TakeSkylineDelta();  // replay is not news
     step = recovered.step;
     carried = {resume_from.bad_lines_skipped, resume_from.probs_clamped,
                resume_from.ooo_dropped};

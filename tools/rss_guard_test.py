@@ -9,6 +9,9 @@ process (os.wait4 ru_maxrss) against a fresh run of the same posture:
   * a memory-window run resumed from a checkpoint;
   * a --wal --window-store disk run resumed from a checkpoint plus a short
     WAL tail;
+  * the same posture with --emit deltas resumed over a long WAL tail: the
+    tail streams record by record, and the band changes the replay
+    records are dropped as it goes, not kept until the feed starts;
   * a fresh run with --checkpoint-dir (one final checkpoint) against the
     same run without it.
 
@@ -29,6 +32,7 @@ import tempfile
 WINDOW = 100_000
 PREPARED = 100_000  # stream position of the checkpoint a resume starts at
 TAIL = 2_000        # WAL records past that checkpoint
+LONG_TAIL = 50_000  # ... and for the --emit deltas posture
 COUNT = PREPARED + TAIL + 8_000
 MARGIN_MB = WINDOW * 96 / 2 / 1e6
 
@@ -87,6 +91,19 @@ def main():
                               ["--resume"])
         fresh = peak_rss_mb(base + count(COUNT) + ckpt("dsk_fresh") + disk)
         check("wal+disk resume", resumed, fresh)
+
+        # The same with --emit deltas and a LONG_TAIL-record WAL past the
+        # checkpoint.
+        deltas = disk + ["--emit", "deltas"]
+        peak_rss_mb(base + count(PREPARED + LONG_TAIL) + ckpt("dlt") +
+                    deltas + ["--checkpoint-every", str(PREPARED)])
+        os.remove(os.path.join(work, "dlt",
+                               f"ckpt-{PREPARED + LONG_TAIL:020d}.psky"))
+        end = count(PREPARED + LONG_TAIL + 8_000)
+        resumed = peak_rss_mb(base + end + ckpt("dlt") + deltas +
+                              ["--resume"])
+        fresh = peak_rss_mb(base + end + ckpt("dlt_fresh") + deltas)
+        check("wal+disk deltas resume over a long tail", resumed, fresh)
 
         # A final checkpoint streams the window; it must not copy it.
         with_ckpt = peak_rss_mb(base + count(COUNT) + ckpt("final"))
